@@ -11,22 +11,24 @@
 //
 // Timing two runs of the same process to 1% is noise-sensitive, so the
 // guard is self-relative (no cross-machine BENCH_kernels.json baselines),
-// uses medians of many repetitions, and takes the best of several attempts
-// before declaring a regression. Exit code 0 = within budget, 1 = not.
+// pins both legs to one core and interleaves their repetitions
+// (guard_timing.hpp), compares medians of many repetitions, and takes the
+// best of several attempts before declaring a regression. Exit code 0 =
+// within budget, 1 = not.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <functional>
 #include <vector>
 
 #include "comm/runtime.hpp"
 #include "common/rng.hpp"
+#include "guard_timing.hpp"
 #include "la/blas.hpp"
 
 namespace {
 
 using namespace rahooi;
+using namespace rahooi::bench;
 using la::idx_t;
 
 template <typename T>
@@ -39,32 +41,13 @@ la::Matrix<T> random_matrix(idx_t rows, idx_t cols, std::uint64_t seed) {
   return m;
 }
 
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Median seconds per call of `fn` over `reps` timed repetitions (after one
-/// warmup call).
-double median_seconds(int reps, const std::function<void()>& fn) {
-  fn();  // warmup
-  std::vector<double> times;
-  times.reserve(static_cast<std::size_t>(reps));
-  for (int r = 0; r < reps; ++r) {
-    const double t0 = now_s();
-    fn();
-    times.push_back(now_s() - t0);
-  }
-  std::sort(times.begin(), times.end());
-  return times[times.size() / 2];
-}
-
 }  // namespace
 
 int main() {
   constexpr idx_t kN = 192;       // the bench_kernels GEMM shape family
   constexpr int kReps = 31;       // per-measurement repetitions (median)
+  constexpr int kRounds = 16;     // interleaved standalone/world rounds
+  constexpr int kRoundReps = 4;   // timed repetitions per leg per round
   constexpr int kAttempts = 5;    // best-of attempts before failing
   constexpr double kBudget = 1.01;
 
@@ -78,14 +61,27 @@ int main() {
 
   double best_ratio = 1e30;
   for (int attempt = 0; attempt < kAttempts; ++attempt) {
-    const double standalone = median_seconds(kReps, kernel);
-
+    const ScopedCorePin pinned;
     comm::RunOptions off;
     off.comm_check = 0;
-    double in_world = 0.0;
-    comm::Runtime::run(
-        1, [&](comm::Comm&) { in_world = median_seconds(kReps, kernel); },
-        nullptr, nullptr, off);
+    std::vector<double> standalone_times, world_times;
+    for (int round = 0; round < kRounds; ++round) {
+      kernel();  // warmup
+      for (int r = 0; r < kRoundReps; ++r) {
+        standalone_times.push_back(time_call(kernel));
+      }
+      comm::Runtime::run(
+          1,
+          [&](comm::Comm&) {
+            kernel();  // warmup
+            for (int r = 0; r < kRoundReps; ++r) {
+              world_times.push_back(time_call(kernel));
+            }
+          },
+          nullptr, nullptr, off);
+    }
+    const double standalone = median(standalone_times);
+    const double in_world = median(world_times);
 
     const double ratio = in_world / standalone;
     best_ratio = std::min(best_ratio, ratio);

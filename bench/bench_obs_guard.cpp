@@ -13,54 +13,34 @@
 // recorder — and asserts the medians agree to <1%.
 //
 // Timing two legs of the same process to 1% is noise-sensitive, so the
-// guard is self-relative, uses medians of many repetitions, and takes the
+// guard is self-relative, interleaves the two legs' repetitions
+// (guard_timing.hpp), compares medians of many repetitions, and takes the
 // best of several attempts before declaring a regression. A raw record()
 // throughput figure is printed for information (deliberately not a guarded
 // number). Exit code 0 = within budget, 1 = not.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <functional>
 #include <vector>
 
 #include "comm/runtime.hpp"
 #include "core/hooi.hpp"
 #include "data/synthetic.hpp"
 #include "dist/dist_tensor.hpp"
+#include "guard_timing.hpp"
 #include "obs/flight_recorder.hpp"
 
 namespace {
 
 using namespace rahooi;
+using namespace rahooi::bench;
 using la::idx_t;
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Median seconds per call of `fn` over `reps` timed repetitions (after one
-/// warmup call).
-double median_seconds(int reps, const std::function<void()>& fn) {
-  fn();  // warmup
-  std::vector<double> times;
-  times.reserve(static_cast<std::size_t>(reps));
-  for (int r = 0; r < reps; ++r) {
-    const double t0 = now_s();
-    fn();
-    times.push_back(now_s() - t0);
-  }
-  std::sort(times.begin(), times.end());
-  return times[times.size() / 2];
-}
 
 }  // namespace
 
 int main() {
   constexpr int kP = 2;           // world size: collectives on the solve path
-  constexpr int kReps = 31;       // per-measurement repetitions (median)
+  constexpr int kReps = 61;       // interleaved repetitions per leg (median)
   constexpr int kAttempts = 5;    // best-of attempts before failing
   constexpr double kBudget = 1.01;
 
@@ -82,21 +62,26 @@ int main() {
       };
       // Both legs run on every rank unconditionally, so the world's
       // collective schedules stay in lockstep across the comparison.
-      double off_leg = 0.0;
-      {
-        obs::ScopedFlightRecorder none(nullptr);
-        off_leg = median_seconds(kReps, solve);
+      solve();  // warmup
+      std::vector<double> off_times, on_times;
+      std::uint64_t on_records = 0;
+      for (int r = 0; r < kReps; ++r) {
+        {
+          obs::ScopedFlightRecorder none(nullptr);
+          off_times.push_back(time_call(solve));
+        }
+        const std::uint64_t before = obs::flight_recorder() != nullptr
+                                         ? obs::flight_recorder()->total()
+                                         : 0;
+        on_times.push_back(time_call(solve));
+        on_records += obs::flight_recorder() != nullptr
+                          ? obs::flight_recorder()->total() - before
+                          : 0;
       }
-      const std::uint64_t before =
-          obs::flight_recorder() != nullptr ? obs::flight_recorder()->total()
-                                            : 0;
-      const double on_leg = median_seconds(kReps, solve);
       if (world.rank() == 0) {
-        off = off_leg;
-        on = on_leg;
-        recorded = obs::flight_recorder() != nullptr
-                       ? obs::flight_recorder()->total() - before
-                       : 0;
+        off = median(off_times);
+        on = median(on_times);
+        recorded = on_records;
       }
     });
 

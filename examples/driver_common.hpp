@@ -12,8 +12,7 @@
 #include <string>
 
 #include "comm/runtime.hpp"
-#include "data/science.hpp"
-#include "data/synthetic.hpp"
+#include "data/dataset.hpp"
 #include "io/param_file.hpp"
 #include "io/tensor_io.hpp"
 #include "metrics/report.hpp"
@@ -72,33 +71,15 @@ dist::DistTensor<T> make_input(const io::ParamFile& params,
                                const dist::ProcessorGrid& grid,
                                const std::vector<la::idx_t>& dims,
                                const std::vector<la::idx_t>& ranks) {
-  const std::string dataset = params.get_string("Dataset", "synthetic");
-  const auto seed =
-      static_cast<std::uint64_t>(params.get_int("Seed", 1));
   if (params.has("Input file")) {
     // Each rank reads only its block (parallel-IO style).
     return io::read_dist_tensor<T>(grid, dims,
                                    params.get_string("Input file"));
   }
-  if (dataset == "synthetic") {
-    const double noise = params.get_double("Noise", 1e-4);
-    return data::synthetic_tucker<T>(grid, dims, ranks, noise, seed);
-  }
-  if (dataset == "miranda") {
-    RAHOOI_REQUIRE(dims.size() == 3, "miranda dataset is 3-way");
-    return data::miranda_like<T>(grid, dims[0], seed);
-  }
-  if (dataset == "hcci") {
-    RAHOOI_REQUIRE(dims.size() == 4, "hcci dataset is 4-way");
-    return data::hcci_like<T>(grid, dims[0], dims[1], dims[2], dims[3],
-                              seed);
-  }
-  if (dataset == "sp") {
-    RAHOOI_REQUIRE(dims.size() == 5, "sp dataset is 5-way");
-    return data::sp_like<T>(grid, dims[0], dims[1], dims[2], dims[3],
-                            dims[4], seed);
-  }
-  throw precondition_error("unknown Dataset: " + dataset);
+  return data::make_dataset<T>(
+      params.get_string("Dataset", "synthetic"), grid, dims, ranks,
+      params.get_double("Noise", 1e-4),
+      static_cast<std::uint64_t>(params.get_int("Seed", 1)));
 }
 
 inline void print_timing_breakdown(const Stats& s) {

@@ -2,8 +2,9 @@
 // runs all five algorithms of the paper (STHOSVD + four HOOI variants) on a
 // synthetic low-rank tensor at increasing simulated rank counts and reports
 // measured wall time plus the measured per-rank flop/communication counters
-// the cost model consumes. (On this single-core machine, wall time does not
-// drop with P — the counters show the work division that would.)
+// the cost model consumes. (Ranks are threads sharing one machine's cores:
+// wall time drops with P only up to the core count — the counters show the
+// work division beyond it.)
 //
 // Run: ./scaling_demo [n] [r]   (defaults n = 48, r = 4)
 

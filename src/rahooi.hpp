@@ -27,6 +27,7 @@
 #include "core/rank_adaptive.hpp"
 #include "core/serial_api.hpp"
 #include "core/sthosvd.hpp"
+#include "data/dataset.hpp"
 #include "data/science.hpp"
 #include "data/synthetic.hpp"
 #include "dist/dist_ops.hpp"

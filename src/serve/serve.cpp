@@ -16,8 +16,7 @@
 #include "comm/runtime.hpp"
 #include "core/checkpoint.hpp"
 #include "core/rank_adaptive.hpp"
-#include "data/science.hpp"
-#include "data/synthetic.hpp"
+#include "data/dataset.hpp"
 #include "fault/fault.hpp"
 #include "io/tensor_io.hpp"
 #include "model/cost_model.hpp"
@@ -33,37 +32,21 @@ namespace {
 /// gains nothing from extra ranks but would still crowd out its neighbors.
 constexpr double kWorldSpawnSeconds = 2e-4;
 
-/// Mirrors examples/driver_common.hpp make_input for the serve job runner
-/// (library code cannot include the examples headers).
+/// The serve job runner's input: the same parameters as
+/// examples/driver_common.hpp make_input.
 template <typename T>
 dist::DistTensor<T> make_input(const io::ParamFile& params,
                                const dist::ProcessorGrid& grid,
                                const std::vector<idx_t>& dims,
                                const std::vector<idx_t>& ranks) {
-  const std::string dataset = params.get_string("Dataset", "synthetic");
-  const auto seed = static_cast<std::uint64_t>(params.get_int("Seed", 1));
   if (params.has("Input file")) {
     return io::read_dist_tensor<T>(grid, dims,
                                    params.get_string("Input file"));
   }
-  if (dataset == "synthetic") {
-    const double noise = params.get_double("Noise", 1e-4);
-    return data::synthetic_tucker<T>(grid, dims, ranks, noise, seed);
-  }
-  if (dataset == "miranda") {
-    RAHOOI_REQUIRE(dims.size() == 3, "miranda dataset is 3-way");
-    return data::miranda_like<T>(grid, dims[0], seed);
-  }
-  if (dataset == "hcci") {
-    RAHOOI_REQUIRE(dims.size() == 4, "hcci dataset is 4-way");
-    return data::hcci_like<T>(grid, dims[0], dims[1], dims[2], dims[3], seed);
-  }
-  if (dataset == "sp") {
-    RAHOOI_REQUIRE(dims.size() == 5, "sp dataset is 5-way");
-    return data::sp_like<T>(grid, dims[0], dims[1], dims[2], dims[3], dims[4],
-                            seed);
-  }
-  throw precondition_error("unknown Dataset: " + dataset);
+  return data::make_dataset<T>(
+      params.get_string("Dataset", "synthetic"), grid, dims, ranks,
+      params.get_double("Noise", 1e-4),
+      static_cast<std::uint64_t>(params.get_int("Seed", 1)));
 }
 
 /// Solver options from the request parameters — the same mapping as

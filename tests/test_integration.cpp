@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <ostream>
+#include <string>
 
 #include "comm/runtime.hpp"
 #include "core/rank_adaptive.hpp"
@@ -27,6 +29,26 @@ struct PipelineCase {
   std::vector<int> grid;
   double eps;
 };
+
+// gtest's fallback printer dumps the struct's bytes, vector heap pointers
+// included, and ctest names each case after that dump — so the test names
+// would change from build to build. Print the case by value instead, kept
+// short (dims, r<ranks>, g<grid>, eps) so a whole name stays under 100
+// characters.
+template <typename T>
+std::string join_x(const std::vector<T>& v) {
+  std::string s;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i > 0) s += 'x';
+    s += std::to_string(v[i]);
+  }
+  return s;
+}
+
+void PrintTo(const PipelineCase& c, std::ostream* os) {
+  *os << join_x(c.dims) << " r" << join_x(c.true_ranks) << " g"
+      << join_x(c.grid) << " eps" << c.eps;
+}
 
 class PipelineSweep : public ::testing::TestWithParam<PipelineCase> {};
 

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdio>
 #include <fstream>
@@ -411,9 +413,13 @@ TEST(ObsExposition, TornReadIsDetected) {
 }
 
 TEST(ObsExporter, ConcurrentScrapesNeverSeeATornFile) {
+  // test_obs.cpp is built into both rahooi_tests and the sanitize-smoke
+  // binary, and a parallel ctest runs both copies at once: a shared path
+  // would let one copy's exporter overwrite the other's files.
   const std::string dir = testing::TempDir();
-  const std::string prom = dir + "/obs_exporter_test.prom";
-  const std::string table = dir + "/obs_exporter_test.txt";
+  const std::string pid = std::to_string(::getpid());
+  const std::string prom = dir + "/obs_exporter_test." + pid + ".prom";
+  const std::string table = dir + "/obs_exporter_test." + pid + ".txt";
   std::remove(prom.c_str());
   std::remove(table.c_str());
 

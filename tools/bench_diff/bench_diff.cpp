@@ -13,15 +13,20 @@
 //     is a regression (relative comparison with an absolute floor, so
 //     exact-zero baselines still match exact-zero fresh values);
 //   * keys only in the fresh report are reported but not fatal (new
-//     benchmarks land before their baseline is refreshed).
+//     benchmarks land before their baseline is refreshed);
+//   * a comparison of zero keys is a failure: a gate that compares nothing
+//     cannot catch anything.
 //
-//   bench_diff [--tolerance <rel>] [--ignore <substr>]...
+//   bench_diff [--tolerance <rel>] [--ignore <segment>]...
 //              <baseline.json> <fresh.json>
 //
-// --tolerance defaults to 0.05 (5% relative). --ignore drops every key
-// containing the substring from the comparison (e.g. --ignore seconds for
-// wall-clock fields that are deterministic in value-land but not in
-// time-land). Exit codes: 0 no regression, 1 regression, 2 usage/IO error.
+// --tolerance defaults to 0.05 (5% relative). --ignore drops every key with
+// a dotted segment equal to <segment>, where '*' matches any run of
+// characters within one segment: "--ignore gflops" drops
+// "benchmarks.3.gflops" but not "benchmarks.3.ref_gflops", and
+// "--ignore '*seconds'" drops every wall-clock field named "..._seconds".
+// Exit codes: 0 no regression, 1 regression or nothing compared, 2
+// usage/IO error.
 
 #include <cctype>
 #include <cmath>
@@ -191,9 +196,30 @@ bool flatten_file(const char* path, std::map<std::string, double>* out,
   return true;
 }
 
-bool ignored(const std::string& key, const std::vector<std::string>& subs) {
-  for (const auto& s : subs) {
-    if (key.find(s) != std::string::npos) return true;
+/// Whole-string match of `text` against `pattern`, where '*' matches any
+/// run of characters.
+bool glob_match(const char* pattern, const char* text) {
+  if (*pattern == '\0') return *text == '\0';
+  if (*pattern == '*') {
+    for (const char* t = text;; ++t) {
+      if (glob_match(pattern + 1, t)) return true;
+      if (*t == '\0') return false;
+    }
+  }
+  return *text != '\0' && *pattern == *text &&
+         glob_match(pattern + 1, text + 1);
+}
+
+bool ignored(const std::string& key, const std::vector<std::string>& pats) {
+  std::size_t begin = 0;
+  while (begin <= key.size()) {
+    std::size_t end = key.find('.', begin);
+    if (end == std::string::npos) end = key.size();
+    const std::string segment = key.substr(begin, end - begin);
+    for (const auto& p : pats) {
+      if (glob_match(p.c_str(), segment.c_str())) return true;
+    }
+    begin = end + 1;
   }
   return false;
 }
@@ -220,7 +246,7 @@ int main(int argc, char** argv) {
   if (files.size() != 2 || !(tolerance >= 0.0)) {
     std::fprintf(stderr,
                  "usage: bench_diff [--tolerance <rel>] "
-                 "[--ignore <substr>]... <baseline.json> <fresh.json>\n");
+                 "[--ignore <segment>]... <baseline.json> <fresh.json>\n");
     return 2;
   }
 
@@ -272,6 +298,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bench_diff: %d regression(s) across %d compared "
                          "key(s), tolerance %.3g\n",
                  regressions, compared, tolerance);
+    return 1;
+  }
+  if (compared == 0) {
+    std::fprintf(stderr, "bench_diff: FAIL — no key compared (%zu baseline "
+                         "key(s), all ignored or missing)\n",
+                 base.size());
     return 1;
   }
   std::printf("bench_diff: OK — %d key(s) within %.3g relative tolerance "
