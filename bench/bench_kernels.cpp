@@ -3,9 +3,10 @@
 //   bench_kernels [--quick] [out.json]
 //                            — default: times the packed GEMM/SYRK/TTM/Gram
 //                              kernels (plus the sketch-apply tall-skinny
-//                              GEMM and the Khatri-Rao fold) against the
-//                              retained naive references at representative
-//                              HOOI shapes and writes BENCH_kernels.json:
+//                              GEMM, the Khatri-Rao fold and the EVD)
+//                              against the retained naive references at
+//                              representative HOOI shapes and writes
+//                              BENCH_kernels.json:
 //                              per-row deterministic "flops" (shape-derived,
 //                              diffed by the bench-diff ctest gate) plus
 //                              GFLOP/s + speedup (timing-dependent, ignored
@@ -294,6 +295,26 @@ void bench_krp_apply(std::vector<JsonEntry>& out, const char* tag) {
                  ref});
 }
 
+/// The replicated Gram+EVD LLSV's sequential EVD at the sthosvd-synth mode
+/// size, on a Gram matrix (charged 9 n^3 like SYEV with vectors) against
+/// the retained EISPACK TRED2+TQL2 reference.
+void bench_sym_evd(std::vector<JsonEntry>& out) {
+  const idx_t n = 512;
+  auto b = random_matrix<float>(n, 2 * n, 20);
+  la::Matrix<float> gram(n, n);
+  la::syrk<float>(1.0f, b.cref(), 0.0f, gram.ref());
+  const double flops = 9.0 * static_cast<double>(n) * n * n;
+  const double gf = time_gflops(flops, [&] {
+    auto evd = la::sym_evd<float>(gram.cref());
+    benchmark::DoNotOptimize(evd.vectors.data());
+  });
+  const double ref = time_gflops(flops, [&] {
+    auto evd = la::sym_evd_ref<float>(gram.cref());
+    benchmark::DoNotOptimize(evd.vectors.data());
+  });
+  out.push_back({"sym_evd_s_512", flops, gf, ref});
+}
+
 int run_json_report(const char* path) {
   std::vector<JsonEntry> entries;
   bench_gemm_square<double>(256, "d", entries);
@@ -313,6 +334,7 @@ int run_json_report(const char* path) {
   bench_gemm_sketch_shape<double>(entries, "d");
   bench_gemm_sketch_shape<float>(entries, "s");
   bench_krp_apply<double>(entries, "d");
+  bench_sym_evd(entries);
 
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {

@@ -59,10 +59,13 @@ TuckerResult<T> sthosvd_impl(const dist::DistTensor<T>& x, double eps,
   out.x_norm_sq = x.norm_squared();
   const double tau_sq = eps * eps * out.x_norm_sq / d;
 
-  dist::DistTensor<T> y = x;
+  // The partially truncated tensor. Mode 0 reads x itself, so y is first
+  // assigned by mode 0's TTM and x is never copied.
+  dist::DistTensor<T> y;
   out.factors.reserve(d);
   for (int j = 0; j < d; ++j) {
     prof::TraceSpan mode_span("mode", static_cast<std::int64_t>(j));
+    const dist::DistTensor<T>& cur = j == 0 ? x : y;
     const idx_t fixed = fixed_ranks != nullptr ? (*fixed_ranks)[j] : 0;
     GramLlsv<T> llsv;
     if (kernel == LlsvKernel::gaussian_sketch ||
@@ -76,15 +79,16 @@ TuckerResult<T> sthosvd_impl(const dist::DistTensor<T>& x, double eps,
                                         : dist::SketchKind::krp;
       const CounterRng rng =
           CounterRng(seed).stream(0x5EEDDA7Aull).stream(j);
-      llsv = llsv_sketch(y, j, fixed, tau_sq, kind, sketch, rng);
+      llsv = llsv_sketch(cur, j, fixed, tau_sq, kind, sketch, rng);
     } else if (kernel == LlsvKernel::qr_svd) {
-      llsv = llsv_qr_svd(y, j, fixed, tau_sq);
+      llsv = llsv_qr_svd(cur, j, fixed, tau_sq);
     } else {
-      llsv = fixed > 0 ? llsv_gram(y, j, fixed) : llsv_gram_tol(y, j, tau_sq);
+      llsv = fixed > 0 ? llsv_gram(cur, j, fixed)
+                       : llsv_gram_tol(cur, j, tau_sq);
     }
     {
       prof::TraceSpan t("ttm", Phase::ttm);
-      y = dist::dist_ttm(y, j, llsv.u.cref());
+      y = dist::dist_ttm(cur, j, llsv.u.cref());
     }
     out.factors.push_back(std::move(llsv.u));
   }

@@ -75,8 +75,20 @@ DistTensor<T> dist_ttm(const DistTensor<T>& x, int mode,
   return y;
 }
 
+namespace {
+
+/// Uninitialized scratch of n elements, charged to pack_buffer through mem.
 template <typename T>
-la::Matrix<T> redistribute_mode(const DistTensor<T>& x, int mode) {
+std::unique_ptr<T[]> pack_scratch(idx_t n, metrics::TrackedBytes& mem) {
+  mem.acquire_as(metrics::MemScope::pack_buffer,
+                 static_cast<double>(n) * sizeof(T));
+  return std::make_unique_for_overwrite<T[]>(static_cast<std::size_t>(n));
+}
+
+}  // namespace
+
+template <typename T>
+ModeRowBlocks<T> redistribute_mode(const DistTensor<T>& x, int mode) {
   prof::TraceSpan span("redistribute", static_cast<std::int64_t>(mode));
   const ProcessorGrid& grid = x.grid();
   RAHOOI_REQUIRE(mode >= 0 && mode < x.ndims(),
@@ -88,76 +100,76 @@ la::Matrix<T> redistribute_mode(const DistTensor<T>& x, int mode) {
   const idx_t right = x.local().right_size(mode);
   const idx_t fibers = left * right;  // identical across the mode comm
 
-  // My chunk of the fiber range after redistribution.
-  const idx_t my_fibers = block_size(fibers, pj, grid.coord(mode));
-  la::Matrix<T> cols(n, my_fibers);
+  ModeRowBlocks<T> out;
+  out.fibers = block_size(fibers, pj, grid.coord(mode));
 
-  if (pj == 1) {
-    // No communication: columns [s*left, (s+1)*left) of the fiber matrix
-    // are exactly slab s transposed, so blocked transposes replace the
-    // scalar fiber gather.
+  // The local unfolding as an (m_loc x fibers) column-major matrix: the
+  // local block itself in mode 0, else one blocked transpose per slab
+  // (fibers [s*left, (s+1)*left) are slab s transposed). Fiber f then sits
+  // at offset f * m_loc, so every destination's chunk is contiguous.
+  const T* unfolding = x.local().data();
+  std::unique_ptr<T[]> packed;
+  metrics::TrackedBytes packed_mem;
+  if (left > 1) {
+    packed = pack_scratch<T>(m_loc * fibers, packed_mem);
+    T* dst = packed.get();
     for (idx_t s = 0; s < right; ++s) {
       la::transpose(x.local().slab(mode, s),
-                    cols.ref().block(0, s * left, n, left));
+                    la::MatrixRef<T>{dst + s * left * m_loc, m_loc, left,
+                                     m_loc});
     }
-    return cols;
+    unfolding = dst;
+  }
+  if (pj == 1) {
+    out.blocks = {la::ConstMatrixRef<T>{unfolding, n, fibers, n}};
+    out.row_offset = {0};
+    out.storage = std::move(packed);
+    out.storage_mem = std::move(packed_mem);
+    return out;
   }
 
-  // Pack: destination q receives my m_loc-segment of each fiber in q's
-  // chunk, fibers in chunk order, segment entries contiguous.
-  std::vector<T> sendbuf(static_cast<std::size_t>(x.local().size()));
-  const metrics::ScopedBytes sendbuf_bytes(
-      metrics::MemScope::pack_buffer,
-      static_cast<double>(sendbuf.size()) * sizeof(T));
+  // Source q supplies rows [row_offset_q, +m_q) of each fiber in my chunk.
   std::vector<idx_t> sdispls(pj), recvcounts(pj), rdispls(pj);
-  idx_t base = 0;
   for (int q = 0; q < pj; ++q) {
-    sdispls[q] = base;
-    const idx_t f0 = block_offset(fibers, pj, q);
-    const idx_t fc = block_size(fibers, pj, q);
-    for (idx_t f = f0; f < f0 + fc; ++f) {
-      const idx_t l = f % left;
-      const idx_t s = f / left;
-      auto sl = x.local().slab(mode, s);
-      T* dst = sendbuf.data() + base + (f - f0) * m_loc;
-      for (idx_t a = 0; a < m_loc; ++a) dst[a] = sl(l, a);
-    }
-    base += fc * m_loc;
+    sdispls[q] = block_offset(fibers, pj, q) * m_loc;
+    out.row_offset.push_back(block_offset(n, pj, q));
+    recvcounts[q] = block_size(n, pj, q) * out.fibers;
+    rdispls[q] = out.row_offset[q] * out.fibers;
   }
-
-  idx_t rbase = 0;
+  out.storage = pack_scratch<T>(n * out.fibers, out.storage_mem);
+  T* recv = out.storage.get();
+  grid.mode_comm(mode).alltoallv(unfolding, sdispls, recv, recvcounts,
+                                 rdispls);
   for (int q = 0; q < pj; ++q) {
-    recvcounts[q] = block_size(n, pj, q) * my_fibers;
-    rdispls[q] = rbase;
-    rbase += recvcounts[q];
-  }
-  std::vector<T> recvbuf(static_cast<std::size_t>(rbase));
-  const metrics::ScopedBytes recvbuf_bytes(
-      metrics::MemScope::pack_buffer,
-      static_cast<double>(recvbuf.size()) * sizeof(T));
-  grid.mode_comm(mode).alltoallv(sendbuf.data(), sdispls, recvbuf.data(),
-                                 recvcounts, rdispls);
-
-  // Assemble: source q supplies rows [row_off_q, +m_q) of every column.
-  for (int q = 0; q < pj; ++q) {
-    const idx_t row_off = block_offset(n, pj, q);
     const idx_t m_q = block_size(n, pj, q);
-    const T* src = recvbuf.data() + rdispls[q];
-    for (idx_t f = 0; f < my_fibers; ++f) {
-      std::copy(src + f * m_q, src + (f + 1) * m_q,
-                cols.data() + f * n + row_off);
-    }
+    out.blocks.push_back(la::ConstMatrixRef<T>{
+        recv + rdispls[q], m_q, out.fibers, std::max<idx_t>(m_q, 1)});
   }
-  return cols;
+  return out;
 }
 
 template <typename T>
 la::Matrix<T> dist_mode_gram(const DistTensor<T>& x, int mode) {
   prof::TraceSpan span("dist_gram", static_cast<std::int64_t>(mode));
-  la::Matrix<T> cols = redistribute_mode(x, mode);
+  const ModeRowBlocks<T> rows = redistribute_mode(x, mode);
   const idx_t n = x.global_dim(mode);
   la::Matrix<T> gram(n, n);
-  la::syrk(T{1}, cols.cref(), T{0}, gram.ref());
+  // Block (q, r) of G is R_q R_r^T: SYRK on the diagonal and GEMM below it
+  // count sum_q m_q(m_q+1) F + sum_{q>r} 2 m_q m_r F = n(n+1) F flops, the
+  // same as one SYRK over the assembled n x F columns.
+  for (std::size_t q = 0; q < rows.blocks.size(); ++q) {
+    const la::ConstMatrixRef<T> rq = rows.blocks[q];
+    const idx_t oq = rows.row_offset[q];
+    la::syrk(T{1}, rq, T{0}, gram.ref().block(oq, oq, rq.rows, rq.rows));
+    for (std::size_t r = 0; r < q; ++r) {
+      const la::ConstMatrixRef<T> rr = rows.blocks[r];
+      la::gemm(la::Op::none, la::Op::transpose, T{1}, rq, rr, T{0},
+               gram.ref().block(oq, rows.row_offset[r], rq.rows, rr.rows));
+    }
+  }
+  for (idx_t j = 1; j < n; ++j) {
+    for (idx_t i = 0; i < j; ++i) gram(i, j) = gram(j, i);
+  }
   x.grid().world().allreduce_sum(gram.data(), gram.size());
   return gram;
 }
@@ -172,13 +184,21 @@ la::Matrix<T> dist_contract_all_but_one(const DistTensor<T>& y,
     RAHOOI_REQUIRE(j == mode || y.global_dim(j) == g.global_dim(j),
                    "contraction operands must agree in non-contracted dims");
   }
-  la::Matrix<T> ycols = redistribute_mode(y, mode);
-  la::Matrix<T> gcols = redistribute_mode(g, mode);
-  RAHOOI_REQUIRE(ycols.cols() == gcols.cols(),
+  const ModeRowBlocks<T> yrows = redistribute_mode(y, mode);
+  const ModeRowBlocks<T> grows = redistribute_mode(g, mode);
+  RAHOOI_REQUIRE(yrows.fibers == grows.fibers,
                  "contraction fiber chunks must align");
+  // Block (q, r) of Z is Y_q G_r^T.
   la::Matrix<T> z(y.global_dim(mode), g.global_dim(mode));
-  la::gemm(la::Op::none, la::Op::transpose, T{1}, ycols.cref(), gcols.cref(),
-           T{0}, z.ref());
+  for (std::size_t q = 0; q < yrows.blocks.size(); ++q) {
+    for (std::size_t r = 0; r < grows.blocks.size(); ++r) {
+      const la::ConstMatrixRef<T> yq = yrows.blocks[q];
+      const la::ConstMatrixRef<T> gr = grows.blocks[r];
+      la::gemm(la::Op::none, la::Op::transpose, T{1}, yq, gr, T{0},
+               z.ref().block(yrows.row_offset[q], grows.row_offset[r],
+                             yq.rows, gr.rows));
+    }
+  }
   y.grid().world().allreduce_sum(z.data(), z.size());
   return z;
 }
@@ -187,14 +207,19 @@ template <typename T>
 la::Matrix<T> dist_mode_tsqr_r(const DistTensor<T>& x, int mode) {
   prof::TraceSpan span("tsqr", static_cast<std::int64_t>(mode));
   const idx_t n = x.global_dim(mode);
-  la::Matrix<T> cols = redistribute_mode(x, mode);
+  const ModeRowBlocks<T> rows = redistribute_mode(x, mode);
 
-  // Local stage: rows of the transposed unfolding this rank owns. When the
-  // rank holds at least n columns, compress them to an n x n R factor;
-  // otherwise the (fewer-than-n)-row block itself is this rank's
-  // contribution (its Gram is preserved either way).
-  la::Matrix<T> colsT(cols.cols(), n);
-  la::transpose(cols.cref(), colsT.ref());
+  // Local stage: rows of the transposed unfolding this rank owns, built
+  // from the transposed row blocks. When the rank holds at least n columns,
+  // compress them to an n x n R factor; otherwise the (fewer-than-n)-row
+  // block itself is this rank's contribution (its Gram is preserved either
+  // way).
+  la::Matrix<T> colsT(rows.fibers, n);
+  for (std::size_t q = 0; q < rows.blocks.size(); ++q) {
+    la::transpose(rows.blocks[q],
+                  colsT.ref().block(0, rows.row_offset[q], rows.fibers,
+                                    rows.blocks[q].rows));
+  }
   la::Matrix<T> local =
       colsT.rows() >= n ? la::qr_thin<T>(colsT.cref()).r : std::move(colsT);
 
@@ -251,8 +276,8 @@ la::Matrix<T> dist_mode_tsqr_r(const DistTensor<T>& x, int mode) {
 #define RAHOOI_INSTANTIATE_DIST_OPS(T)                                  \
   template DistTensor<T> dist_ttm<T>(const DistTensor<T>&, int,         \
                                      la::ConstMatrixRef<T>);            \
-  template la::Matrix<T> redistribute_mode<T>(const DistTensor<T>&,     \
-                                              int);                     \
+  template ModeRowBlocks<T> redistribute_mode<T>(const DistTensor<T>&, \
+                                                 int);                  \
   template la::Matrix<T> dist_mode_gram<T>(const DistTensor<T>&, int);  \
   template la::Matrix<T> dist_contract_all_but_one<T>(                  \
       const DistTensor<T>&, const DistTensor<T>&, int);                 \

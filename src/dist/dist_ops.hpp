@@ -5,10 +5,11 @@
 //  * dist_ttm            — truncating TTM with reduce-scatter along the
 //                          mode's grid dimension (§2.1/§2.2 TTM kernel),
 //  * redistribute_mode   — all-to-all redistribution of a mode's unfolding
-//                          into 1D column layout (the Gram redistribution
-//                          of §2.1 and the contraction redistribution of
-//                          §3.4),
-//  * dist_mode_gram      — parallel Gram + world allreduce (LLSV input),
+//                          into 1D column layout, returned as per-source
+//                          row blocks (the Gram redistribution of §2.1 and
+//                          the contraction redistribution of §3.4),
+//  * dist_mode_gram      — parallel Gram, formed blockwise from the row
+//                          blocks, + world allreduce (LLSV input),
 //  * dist_contract_all_but_one — the new parallel kernel the paper adds for
 //                          subspace iteration: Z = Y_(j) G_(j)^T (Alg. 5,
 //                          line 3), returned replicated on every rank.
@@ -16,8 +17,11 @@
 // Factor matrices are replicated on all ranks (TuckerMPI's convention), so
 // they appear here as plain la::Matrix values.
 
+#include <memory>
+
 #include "dist/dist_tensor.hpp"
 #include "la/blas.hpp"
+#include "metrics/metrics.hpp"
 
 namespace rahooi::dist {
 
@@ -28,23 +32,47 @@ template <typename T>
 DistTensor<T> dist_ttm(const DistTensor<T>& x, int mode,
                        la::ConstMatrixRef<T> u);
 
-/// Redistributes the mode-j unfolding into 1D column layout: the returned
-/// matrix has all global_dim(mode) rows and a contiguous chunk (1/P_j) of
-/// this rank's share of the unfolding columns (mode-j fibers). Columns held
-/// by distinct ranks partition the global unfolding. Implemented with an
-/// all-to-all along the mode's grid dimension, as in TuckerMPI.
+/// A mode-j unfolding after redistribution into 1D column layout, kept in
+/// the row blocks it arrives in rather than assembled: this rank holds a
+/// contiguous chunk of `fibers` unfolding columns (mode-j fibers), and
+/// blocks[q] holds rows [row_offset[q], row_offset[q] + blocks[q].rows) of
+/// that chunk — the segment owned by rank q of the mode's grid dimension —
+/// column-major with contiguous columns. Chunks held by distinct ranks
+/// partition the global unfolding. Move-only; the blocks point into
+/// `storage`, or into the tensor's local block when no copy was needed.
+/// `storage` is plain uninitialized heap memory: allocating these per-call
+/// buffers 64-byte aligned (la::AlignedBuffer) raised the peak RSS of a
+/// P=4 STHOSVD of a 537 MB tensor from 1.66 to 1.96 GB.
 template <typename T>
-la::Matrix<T> redistribute_mode(const DistTensor<T>& x, int mode);
+struct ModeRowBlocks {
+  std::vector<la::ConstMatrixRef<T>> blocks;
+  std::vector<idx_t> row_offset;
+  idx_t fibers = 0;
+  std::unique_ptr<T[]> storage;
+  metrics::TrackedBytes storage_mem;  ///< storage's pack_buffer charge
+};
+
+/// Redistributes the mode-j unfolding with an all-to-all along the mode's
+/// grid dimension, as in TuckerMPI. Mode 0 sends straight from the local
+/// block (each destination's fibers are contiguous there); other modes pack
+/// with blocked transposes. The receive buffer is left uninitialized. With
+/// one rank along the mode there is no communication, and in mode 0 the
+/// single block is a view of the local block.
+template <typename T>
+ModeRowBlocks<T> redistribute_mode(const DistTensor<T>& x, int mode);
 
 /// Replicated Gram matrix of the mode-j unfolding: G = X_(j) X_(j)^T of
-/// shape (global_dim(mode))^2. Local SYRK on redistributed columns, then a
-/// world allreduce.
+/// shape (global_dim(mode))^2, formed blockwise from the redistributed row
+/// blocks (SYRK on each diagonal block, GEMM below it, then mirrored;
+/// n(n+1) F flops in all), then a world allreduce.
 template <typename T>
 la::Matrix<T> dist_mode_gram(const DistTensor<T>& x, int mode);
 
 /// Replicated contraction in all modes but `mode` between tensors with
 /// identical non-mode global dims and distribution:
-/// Z = Y_(mode) G_(mode)^T, shape (y.global_dim(mode) x g.global_dim(mode)).
+/// Z = Y_(mode) G_(mode)^T, shape (y.global_dim(mode) x g.global_dim(mode)),
+/// formed blockwise (one GEMM per pair of redistributed row blocks), then a
+/// world allreduce.
 template <typename T>
 la::Matrix<T> dist_contract_all_but_one(const DistTensor<T>& y,
                                         const DistTensor<T>& g, int mode);

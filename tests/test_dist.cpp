@@ -295,14 +295,106 @@ TEST(DistOps, RedistributeColumnCountsSumToUnfolding) {
     ProcessorGrid grid(world, {2, 2, 1});
     auto x = make_dist<double>(grid, dims);
     for (int mode = 0; mode < 3; ++mode) {
-      auto cols = redistribute_mode(x, mode);
-      EXPECT_EQ(cols.rows(), dims[mode]);
+      auto rows = redistribute_mode(x, mode);
+      // One row block per rank along the mode; together they tile all
+      // dims[mode] rows of this rank's fiber chunk.
+      ASSERT_EQ(static_cast<int>(rows.blocks.size()), grid.dim(mode));
+      idx_t next_row = 0;
+      for (std::size_t q = 0; q < rows.blocks.size(); ++q) {
+        EXPECT_EQ(rows.row_offset[q], next_row);
+        EXPECT_EQ(rows.blocks[q].cols, rows.fibers);
+        next_row += rows.blocks[q].rows;
+      }
+      EXPECT_EQ(next_row, dims[mode]);
       const double total = grid.world().allreduce_scalar(
-          static_cast<double>(cols.cols()));
+          static_cast<double>(rows.fibers));
       EXPECT_DOUBLE_EQ(total,
                        static_cast<double>(tensor::volume(dims) / dims[mode]));
     }
   });
+}
+
+// Differential oracle for the blockwise Gram and contraction: every mode,
+// both precisions, grids with 2, 3 and 4 ranks along some mode (uneven
+// splits, and ranks whose block is empty because the mode is shorter than
+// its grid dimension), against the serial tensor kernels. The recorded
+// flops must equal the one-SYRK / one-GEMM count exactly, which is what the
+// Table 1 and BENCH_solver accounting rely on.
+struct OracleCase {
+  std::vector<idx_t> dims;
+  std::vector<int> grid;
+};
+
+const OracleCase kOracleCases[] = {
+    {{9, 5, 7}, {2, 1, 1}},   // pj = 2, uneven in mode 0
+    {{6, 7, 5}, {2, 1, 2}},   // two split modes
+    {{7, 8, 5}, {1, 3, 1}},   // pj = 3, uneven
+    {{10, 6, 9}, {1, 1, 4}},  // pj = 4, uneven, last mode
+    {{5, 6, 4}, {2, 2, 1}},
+    {{2, 7, 6}, {3, 1, 1}},   // mode 0 shorter than pj: one empty block
+    {{6, 3, 5}, {1, 4, 1}},   // mode 1 shorter than pj: one empty block
+};
+
+template <typename T>
+class DistOracleTyped : public ::testing::Test {};
+
+using OracleScalars = ::testing::Types<float, double>;
+TYPED_TEST_SUITE(DistOracleTyped, OracleScalars);
+
+template <typename T>
+double oracle_tol(const la::Matrix<T>& expect) {
+  double scale = 1.0;
+  for (idx_t i = 0; i < expect.size(); ++i) {
+    scale = std::max(scale, std::abs(static_cast<double>(expect.data()[i])));
+  }
+  return (sizeof(T) == 4 ? 1e-5 : 1e-12) * scale;
+}
+
+TYPED_TEST(DistOracleTyped, GramAndContractionMatchSerialWithExactFlops) {
+  using T = TypeParam;
+  for (const OracleCase& c : kOracleCases) {
+    const int p = c.grid[0] * c.grid[1] * c.grid[2];
+    const auto serial = serial_tensor<T>(c.dims);
+    const idx_t volume = tensor::volume(c.dims);
+    for (int mode = 0; mode < 3; ++mode) {
+      const idx_t n = c.dims[mode];
+      const idx_t r = std::min<idx_t>(n, 3);
+      auto u = random_matrix<T>(n, r, 960 + mode);
+      auto gserial = tensor::ttm(serial, mode, u.cref(), la::Op::transpose);
+      const auto gram_expect = tensor::mode_gram(serial, mode);
+      const auto z_expect =
+          tensor::contract_all_but_one(serial, gserial, mode);
+      comm::Runtime::run(p, [&](comm::Comm& world) {
+        ProcessorGrid grid(world, c.grid);
+        auto x = make_dist<T>(grid, c.dims);
+        auto g = dist_ttm(x, mode, u.cref());
+        Stats gram_stats, z_stats;
+        la::Matrix<T> gram, z;
+        {
+          const ScopedStats scope(gram_stats);
+          gram = dist_mode_gram(x, mode);
+        }
+        {
+          const ScopedStats scope(z_stats);
+          z = dist_contract_all_but_one(x, g, mode);
+        }
+        const double fibers =
+            static_cast<double>(redistribute_mode(x, mode).fibers);
+        EXPECT_EQ(gram_stats.total_flops(),
+                  static_cast<double>(n) * static_cast<double>(n + 1) *
+                      fibers);
+        EXPECT_EQ(z_stats.total_flops(), 2.0 * static_cast<double>(n) *
+                                             static_cast<double>(r) * fibers);
+        EXPECT_EQ(world.allreduce_scalar(fibers),
+                  static_cast<double>(volume / n));
+        EXPECT_LT(la::max_abs_diff<T>(gram, gram_expect),
+                  oracle_tol(gram_expect))
+            << "gram mode " << mode;
+        EXPECT_LT(la::max_abs_diff<T>(z, z_expect), oracle_tol(z_expect))
+            << "contraction mode " << mode;
+      });
+    }
+  }
 }
 
 TEST_P(DistOpsGrids, TsqrRFactorReproducesGram) {

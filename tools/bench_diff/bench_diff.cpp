@@ -15,7 +15,10 @@
 //   * keys only in the fresh report are reported but not fatal (new
 //     benchmarks land before their baseline is refreshed);
 //   * a comparison of zero keys is a failure: a gate that compares nothing
-//     cannot catch anything.
+//     cannot catch anything;
+//   * a baseline row (an object inside an array) that lacks a gated field
+//     some sibling row has is a failure: that row would silently drop out
+//     of the comparison.
 //
 //   bench_diff [--tolerance <rel>] [--ignore <segment>]...
 //              <baseline.json> <fresh.json>
@@ -34,6 +37,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -48,6 +52,7 @@ struct Parser {
   const std::string& text;
   std::size_t pos = 0;
   std::string error;
+  std::vector<std::string> rows;  ///< keys of objects that are array elements
 
   explicit Parser(const std::string& t) : text(t) {}
 
@@ -131,7 +136,9 @@ struct Parser {
         return true;
       }
       for (std::size_t i = 0;; ++i) {
-        if (!parse_value(key + "." + std::to_string(i), out)) return false;
+        const std::string child = key + "." + std::to_string(i);
+        if (peek('{')) rows.push_back(child);
+        if (!parse_value(child, out)) return false;
         if (peek(',')) {
           ++pos;
           continue;
@@ -174,6 +181,7 @@ struct Parser {
 };
 
 bool flatten_file(const char* path, std::map<std::string, double>* out,
+                  std::vector<std::string>* rows /* may be null */,
                   std::string* error) {
   std::ifstream in(path);
   if (!in.good()) {
@@ -188,6 +196,7 @@ bool flatten_file(const char* path, std::map<std::string, double>* out,
     *error = p.error;
     return false;
   }
+  if (rows != nullptr) *rows = std::move(p.rows);
   p.skip_ws();
   if (p.pos != text.size()) {
     *error = "trailing content after JSON value";
@@ -251,12 +260,13 @@ int main(int argc, char** argv) {
   }
 
   std::map<std::string, double> base, fresh;
+  std::vector<std::string> base_rows;
   std::string error;
-  if (!flatten_file(files[0], &base, &error)) {
+  if (!flatten_file(files[0], &base, &base_rows, &error)) {
     std::fprintf(stderr, "bench_diff: %s: %s\n", files[0], error.c_str());
     return 2;
   }
-  if (!flatten_file(files[1], &fresh, &error)) {
+  if (!flatten_file(files[1], &fresh, nullptr, &error)) {
     std::fprintf(stderr, "bench_diff: %s: %s\n", files[1], error.c_str());
     return 2;
   }
@@ -284,6 +294,33 @@ int main(int argc, char** argv) {
       ++regressions;
     }
   }
+  // Every baseline row must carry each gated field any sibling row has.
+  std::map<std::string, std::set<std::string>> row_fields;
+  std::map<std::string, std::set<std::string>> array_fields;
+  auto parent = [](const std::string& key) {
+    const std::size_t dot = key.rfind('.');
+    return dot == std::string::npos ? std::string() : key.substr(0, dot);
+  };
+  for (const auto& row : base_rows) row_fields[row];
+  for (const auto& [key, b] : base) {
+    const auto row = row_fields.find(parent(key));
+    if (row == row_fields.end() || ignored(key, ignores)) continue;
+    const std::string field = key.substr(row->first.size() + 1);
+    row->second.insert(field);
+    array_fields[parent(row->first)].insert(field);
+  }
+  for (const auto& [row, fields] : row_fields) {
+    for (const auto& field : array_fields[parent(row)]) {
+      if (fields.count(field) == 0) {
+        std::fprintf(stderr,
+                     "bench_diff: REGRESSION baseline row %s lacks gated "
+                     "field %s\n",
+                     row.c_str(), field.c_str());
+        ++regressions;
+      }
+    }
+  }
+
   int extra = 0;
   for (const auto& [key, f] : fresh) {
     if (ignored(key, ignores)) continue;
