@@ -1,20 +1,14 @@
 #pragma once
 // Shared machinery for the artifact-style drivers (sthosvd_driver,
-// hooi_driver): parameter-file handling, grid construction, and synthetic /
-// simulation-surrogate input selection.
-//
-// Recognized dataset keys:
-//   Dataset = synthetic (default) | miranda | hcci | sp
-// Synthetic inputs use "Construction Ranks" (or "Ranks") and "Noise" as in
-// the paper's artifact appendix.
+// hooi_driver): command-line and parameter-file handling and report output.
+// Input selection ("Input file" or "Dataset" = synthetic (default) |
+// miranda | hcci | sp) is io::make_input (io/solver_params.hpp).
 
 #include <cstdio>
 #include <string>
 
 #include "comm/runtime.hpp"
-#include "data/dataset.hpp"
-#include "io/param_file.hpp"
-#include "io/tensor_io.hpp"
+#include "io/solver_params.hpp"
 #include "metrics/report.hpp"
 
 namespace rahooi::examples {
@@ -64,22 +58,6 @@ inline void write_metrics_outputs(
   std::printf(
       "top metrics by per-rank max:\n%s\n",
       metrics::aggregate_pretty(metrics::aggregate(regs), 12).c_str());
-}
-
-template <typename T>
-dist::DistTensor<T> make_input(const io::ParamFile& params,
-                               const dist::ProcessorGrid& grid,
-                               const std::vector<la::idx_t>& dims,
-                               const std::vector<la::idx_t>& ranks) {
-  if (params.has("Input file")) {
-    // Each rank reads only its block (parallel-IO style).
-    return io::read_dist_tensor<T>(grid, dims,
-                                   params.get_string("Input file"));
-  }
-  return data::make_dataset<T>(
-      params.get_string("Dataset", "synthetic"), grid, dims, ranks,
-      params.get_double("Noise", 1e-4),
-      static_cast<std::uint64_t>(params.get_int("Seed", 1)));
 }
 
 inline void print_timing_breakdown(const Stats& s) {

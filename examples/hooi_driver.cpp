@@ -54,14 +54,11 @@
 #include <cstdio>
 #include <optional>
 
-#include <algorithm>
-
 #include "common/stopwatch.hpp"
 #include "core/rank_adaptive.hpp"
 #include "driver_common.hpp"
 #include "example_util.hpp"
 #include "fault/fault.hpp"
-#include "model/cost_model.hpp"
 #include "prof/report.hpp"
 
 using namespace rahooi;
@@ -81,49 +78,13 @@ int run(const io::ParamFile& params, bool profile, bool restore,
                  "'Decomposition Ranks' is required");
   if (construction.empty()) construction = decomposition;
 
-  core::HooiOptions hooi_opts;
-  hooi_opts.use_dimension_tree =
-      params.get_bool("Dimension Tree Memoization", false);
-  hooi_opts.max_iters = static_cast<int>(params.get_int("HOOI max iters", 2));
-  hooi_opts.sketch.oversample = params.get_int("Sketch Oversample", 8);
-  hooi_opts.sketch.min_cols = params.get_int("Sketch Min Cols", 16);
-  hooi_opts.sketch.growth = params.get_double("Sketch Growth", 2.0);
-  hooi_opts.sketch.safety = params.get_double("Sketch Safety", 0.5);
-  hooi_opts.sketch.deterministic =
-      params.get_bool("Sketch Deterministic", false);
-  long long svd_method = params.get_int("SVD Method", 0);
-  if (svd_method == -1) {
-    // Auto-select by modeled per-mode LLSV time for this problem shape
-    // (model/cost_model.hpp). HOOI sweeps have a warm start, so subspace
-    // iteration is eligible.
-    model::Problem prob;
-    prob.d = static_cast<int>(dims.size());
-    for (const auto v : dims) prob.n = std::max(prob.n, double(v));
-    for (const auto v : decomposition) prob.r = std::max(prob.r, double(v));
-    prob.iters = hooi_opts.max_iters;
-    prob.grid = gdims;
-    const model::LlsvBackend backend = model::pick_llsv_backend(
-        prob, hooi_opts.sketch.oversample, /*warm_start=*/true);
-    switch (backend) {
-      case model::LlsvBackend::gram_evd: svd_method = 0; break;
-      case model::LlsvBackend::subspace_iteration: svd_method = 2; break;
-      case model::LlsvBackend::sketch: svd_method = 3; break;
-    }
-    std::printf("SVD Method = -1 (auto): cost model picked %s (method %lld)\n",
-                model::llsv_backend_name(backend), svd_method);
+  io::SolverOptions opts =
+      io::solver_options(params, dims, decomposition, gdims);
+  core::HooiOptions& hooi_opts = opts.ra.hooi;
+  if (params.get_int("SVD Method", 0) == -1) {
+    std::printf("SVD Method = -1 (auto): cost model picked method %d\n",
+                static_cast<int>(hooi_opts.svd_method));
   }
-  RAHOOI_REQUIRE(svd_method >= 0 && svd_method <= 4,
-                 "'SVD Method' must be in [0, 4] or -1 (auto)");
-  hooi_opts.svd_method = static_cast<core::SvdMethod>(svd_method);
-  hooi_opts.seed = static_cast<std::uint64_t>(params.get_int("Seed", 1));
-  hooi_opts.profile = profile;
-  hooi_opts.metrics = !metrics_out.empty();
-  // Fault-tolerance knobs (docs/ROBUSTNESS.md): hang watchdog deadline and
-  // per-sweep checkpointing. `--restore` resumes from "Checkpoint file".
-  hooi_opts.collective_timeout_ms =
-      params.get_double("Collective timeout ms", 0.0);
-  hooi_opts.checkpoint_path = params.get_string("Checkpoint file", "");
-  const double adapt = params.get_double("HOOI-Adapt Threshold", 0.0);
   if (restore) {
     RAHOOI_REQUIRE(!hooi_opts.checkpoint_path.empty(),
                    "--restore needs a 'Checkpoint file' parameter naming the "
@@ -144,7 +105,7 @@ int run(const io::ParamFile& params, bool profile, bool restore,
   }
 
   std::printf("variant: %s%s\n", core::variant_name(hooi_opts).c_str(),
-              adapt > 0.0 ? " (rank-adaptive)" : " (fixed rank)");
+              opts.adaptive ? " (rank-adaptive)" : " (fixed rank)");
 
   int p = 1;
   for (const int g : gdims) p *= g;
@@ -158,21 +119,11 @@ int run(const io::ParamFile& params, bool profile, bool restore,
       p,
       [&](comm::Comm& world) {
         dist::ProcessorGrid grid(world, gdims);
-        auto x = examples::make_input<T>(params, grid, dims, construction);
+        auto x = io::make_input<T>(params, grid, dims, construction);
         world.barrier();
         Stopwatch clock;
-        if (adapt > 0.0) {
-          core::RankAdaptiveOptions opt;
-          opt.hooi = hooi_opts;
-          opt.tolerance = adapt;
-          opt.max_iters = hooi_opts.max_iters;
-          opt.growth_factor = params.get_double("Rank growth factor", 1.5);
-          const std::string init = params.get_string("RA Init", "random");
-          RAHOOI_REQUIRE(init == "sketched" || init == "random",
-                         "'RA Init' must be 'sketched' or 'random'");
-          opt.init = init == "random" ? core::RaInit::random_factors
-                                      : core::RaInit::sketched_sthosvd;
-          auto res = core::rank_adaptive_hooi(x, decomposition, opt);
+        if (opts.adaptive) {
+          auto res = core::rank_adaptive_hooi(x, decomposition, opts.ra);
           world.barrier();
           const std::string output = params.get_string("Output file", "");
           if (!output.empty() && world.rank() == 0) {

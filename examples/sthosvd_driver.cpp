@@ -53,7 +53,7 @@ int run(const io::ParamFile& params, const std::string& metrics_out) {
       p,
       [&](comm::Comm& world) {
         dist::ProcessorGrid grid(world, gdims);
-        auto x = examples::make_input<T>(params, grid, dims, ranks);
+        auto x = io::make_input<T>(params, grid, dims, ranks);
         world.barrier();
         Stopwatch clock;
         auto res = threshold > 0.0 ? core::sthosvd(x, threshold)

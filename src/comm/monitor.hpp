@@ -156,6 +156,13 @@ class ScopedRankBinding {
 Monitor* bound_monitor();
 int bound_world_rank();
 
+/// World rank for fault-site matching: the Runtime thread binding when
+/// present (rank threads), else `comm_rank` (serial API).
+inline int fault_rank(int comm_rank) {
+  const int bound = bound_world_rank();
+  return bound >= 0 ? bound : comm_rank;
+}
+
 /// RAII entry guard every Comm collective opens before its first rendezvous:
 /// registers the rank in the park registry (with the prof span path when a
 /// Recorder is installed and the watchdog is armed) and runs the

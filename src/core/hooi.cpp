@@ -1,15 +1,10 @@
 #include "core/hooi.hpp"
 
-#include <cmath>
-#include <optional>
+#include <algorithm>
 
-#include "comm/monitor.hpp"
 #include "common/rng.hpp"
-#include "core/checkpoint.hpp"
-#include "core/dimension_tree.hpp"
-#include "fault/fault.hpp"
+#include "core/solve_session.hpp"
 #include "metrics/metrics.hpp"
-#include "metrics/report.hpp"
 #include "prof/trace.hpp"
 
 namespace rahooi::core {
@@ -38,234 +33,183 @@ std::vector<la::Matrix<T>> random_factors(const std::vector<idx_t>& dims,
 
 namespace {
 
-// Counts one fallback decision in both ledgers — the SolveReport and the
-// metrics counter — at the same site, so SolveReport::fallbacks and
-// Counter::solver_fallbacks agree exactly over a solve.
-void count_fallback(SolveReport* report) {
-  ++report->fallbacks;
-  if (metrics::Registry* reg = metrics::registry()) {
-    reg->count(metrics::Counter::solver_fallbacks);
-  }
-}
-
-// Runs the configured LLSV method for one mode and returns the new factor.
-// `sweep_index` seeds the fresh sketches of the randomized method so they
-// differ between sweeps but are identical on every rank.
+/// One sweep's state: the factors it updates in place, the knobs every leaf
+/// update reads, and the core that falls out of the last mode's leaf.
 template <typename T>
-la::Matrix<T> leaf_update_primary(const dist::DistTensor<T>& y, int mode,
-                                  const la::Matrix<T>& prev,
-                                  const std::vector<idx_t>& ranks,
-                                  const HooiOptions& options,
-                                  int sweep_index) {
-  switch (options.svd_method) {
-    case SvdMethod::subspace_iteration:
-      RAHOOI_REQUIRE(prev.cols() == ranks[mode],
-                     "subspace iteration needs a starting factor of the "
-                     "requested rank");
-      return llsv_subspace_iteration(y, mode, prev, options.subspace_steps);
-    case SvdMethod::randomized: {
-      // Cold start: one-power-iteration randomized range finder.
-      const CounterRng rng = CounterRng(options.seed)
-                                 .stream(0x5EED0000ull + sweep_index)
-                                 .stream(mode);
-      la::Matrix<T> sketch(y.global_dim(mode), ranks[mode]);
-      for (idx_t i = 0; i < sketch.size(); ++i) {
-        sketch.data()[i] = static_cast<T>(rng.normal(i));
-      }
-      return llsv_subspace_iteration(y, mode,
-                                     la::orthonormalize<T>(sketch.cref()),
-                                     options.subspace_steps);
-    }
-    case SvdMethod::gaussian_sketch:
-    case SvdMethod::krp_sketch: {
-      // Sketched range finder: a fresh counter-based Omega per (sweep, mode)
-      // so sweeps are independent draws yet identical on every rank/grid.
-      const CounterRng rng = CounterRng(options.seed)
-                                 .stream(0x5EED5CEBull + sweep_index)
-                                 .stream(mode);
-      const dist::SketchKind kind = options.svd_method ==
-                                            SvdMethod::gaussian_sketch
-                                        ? dist::SketchKind::gaussian
-                                        : dist::SketchKind::krp;
-      return llsv_sketch(y, mode, ranks[mode], 0.0, kind, options.sketch,
-                         rng)
-          .u;
-    }
-    case SvdMethod::gram_evd:
-      break;
-  }
-  return llsv_gram(y, mode, ranks[mode]).u;
-}
-
-// Updates factors[mode] from `y`, the all-but-one multi-TTM result. When
-// `report` is non-null, numerical hazards degrade gracefully instead of
-// throwing: the primary method's failure (numerical_error or a non-finite
-// update) falls back to Gram+EVD, whose failure falls back to keeping the
-// previous factor. Collective consistency: every fallback decision is a
-// deterministic function of *replicated* data (the EVD/QRCP run on
-// replicated matrices, and factor updates are replicated), so all ranks
-// take identical branches and the collective schedule stays matched.
-template <typename T>
-void leaf_update(const dist::DistTensor<T>& y, int mode,
-                 std::vector<la::Matrix<T>>& factors,
-                 const std::vector<idx_t>& ranks, const HooiOptions& options,
-                 int sweep_index, SolveReport* report) {
-  if (report == nullptr) {
-    factors[mode] =
-        leaf_update_primary(y, mode, factors[mode], ranks, options,
-                            sweep_index);
-    return;
-  }
-
-  la::Matrix<T> updated;
-  bool ok = false;
-  try {
-    updated = leaf_update_primary(y, mode, factors[mode], ranks, options,
-                                  sweep_index);
-    ok = la::all_finite(updated);
-    if (!ok) {
-      report->record(sweep_index, mode, "nonfinite_update",
-                     variant_name(options) + " produced a non-finite factor");
-    }
-  } catch (const numerical_error& e) {
-    report->record(sweep_index, mode, "primary_failed", e.what());
-  }
-
-  if (!ok && options.svd_method != SvdMethod::gram_evd) {
-    // Second chance: Gram+EVD tolerates a wider range of inputs than the
-    // QRCP subspace path (it never divides by a pivot).
-    count_fallback(report);
-    try {
-      updated = llsv_gram(y, mode, ranks[mode]).u;
-      ok = la::all_finite(updated);
-      report->record(sweep_index, mode, "fallback_gram_evd",
-                     ok ? "recovered via Gram+EVD"
-                        : "Gram+EVD also produced non-finite values");
-    } catch (const numerical_error& e) {
-      report->record(sweep_index, mode, "fallback_gram_evd_failed", e.what());
-    }
-  }
-
-  if (ok) {
-    factors[mode] = std::move(updated);
-    return;
-  }
-  // Last resort: keep the previous factor (clamped to the requested rank).
-  // It is orthonormal and finite, so the sweep stays well-posed; accuracy
-  // for this mode simply does not improve this sweep.
-  count_fallback(report);
-  const idx_t keep = std::min<idx_t>(factors[mode].cols(), ranks[mode]);
-  factors[mode] = factors[mode].leading_block(factors[mode].rows(), keep);
-  report->record(sweep_index, mode, "kept_previous_factor",
-                 "all update paths failed; factor unchanged this sweep");
-}
-
-// Direct sweep (Alg. 2): one fresh multi-TTM from X per subiteration.
-template <typename T>
-dist::DistTensor<T> sweep_direct(const dist::DistTensor<T>& x,
-                                 std::vector<la::Matrix<T>>& factors,
-                                 const std::vector<idx_t>& ranks,
-                                 const HooiOptions& options,
-                                 int sweep_index, SolveReport* report) {
-  const int d = x.ndims();
+struct Sweep {
+  std::vector<la::Matrix<T>>& factors;
+  const std::vector<idx_t>& ranks;
+  const HooiOptions& options;
+  int index;
+  SolveReport* report;
+  int d;
   dist::DistTensor<T> core;
-  for (int j = 0; j < d; ++j) {
-    prof::TraceSpan mode_span("mode", static_cast<std::int64_t>(j));
-    dist::DistTensor<T> y;
-    {
-      prof::TraceSpan t("multi_ttm", Phase::ttm);
-      const dist::DistTensor<T>* src = &x;
-      for (int i = 0; i < d; ++i) {
-        if (i == j) continue;
-        y = dist::dist_ttm(*src, i, factors[i].cref());
-        src = &y;
+
+  // Runs the configured LLSV method for one mode and returns the new
+  // factor. The sweep index seeds the fresh sketches of the randomized
+  // methods so they differ between sweeps but are identical on every rank.
+  la::Matrix<T> primary(const dist::DistTensor<T>& y, int mode) const {
+    switch (options.svd_method) {
+      case SvdMethod::subspace_iteration:
+        RAHOOI_REQUIRE(factors[mode].cols() == ranks[mode],
+                       "subspace iteration needs a starting factor of the "
+                       "requested rank");
+        return llsv_subspace_iteration(y, mode, factors[mode],
+                                       options.subspace_steps);
+      case SvdMethod::randomized: {
+        // Cold start: one-power-iteration randomized range finder.
+        const CounterRng rng = CounterRng(options.seed)
+                                   .stream(0x5EED0000ull + index)
+                                   .stream(mode);
+        la::Matrix<T> sketch(y.global_dim(mode), ranks[mode]);
+        for (idx_t i = 0; i < sketch.size(); ++i) {
+          sketch.data()[i] = static_cast<T>(rng.normal(i));
+        }
+        return llsv_subspace_iteration(y, mode,
+                                       la::orthonormalize<T>(sketch.cref()),
+                                       options.subspace_steps);
+      }
+      case SvdMethod::gaussian_sketch:
+      case SvdMethod::krp_sketch: {
+        // Sketched range finder: a fresh counter-based Omega per (sweep,
+        // mode) so sweeps are independent draws yet identical on every
+        // rank/grid.
+        const CounterRng rng = CounterRng(options.seed)
+                                   .stream(0x5EED5CEBull + index)
+                                   .stream(mode);
+        const dist::SketchKind kind =
+            options.svd_method == SvdMethod::gaussian_sketch
+                ? dist::SketchKind::gaussian
+                : dist::SketchKind::krp;
+        return llsv_sketch(y, mode, ranks[mode], 0.0, kind, options.sketch,
+                           rng)
+            .u;
+      }
+      case SvdMethod::gram_evd:
+        break;
+    }
+    return llsv_gram(y, mode, ranks[mode]).u;
+  }
+
+  // Updates factors[mode] from `y`, the all-but-one multi-TTM result. When
+  // `report` is non-null, numerical hazards degrade gracefully instead of
+  // throwing: the primary method's failure (numerical_error or a non-finite
+  // update) falls back to Gram+EVD, whose failure falls back to keeping the
+  // previous factor. Collective consistency: every fallback decision is a
+  // deterministic function of *replicated* data (the EVD/QRCP run on
+  // replicated matrices, and factor updates are replicated), so all ranks
+  // take identical branches and the collective schedule stays matched.
+  void update(const dist::DistTensor<T>& y, int mode) {
+    if (report == nullptr) {
+      factors[mode] = primary(y, mode);
+      return;
+    }
+    la::Matrix<T> updated;
+    bool ok = false;
+    try {
+      updated = primary(y, mode);
+      ok = la::all_finite(updated);
+      if (!ok) {
+        report->record(index, mode, "nonfinite_update",
+                       variant_name(options) + " produced a non-finite factor");
+      }
+    } catch (const numerical_error& e) {
+      report->record(index, mode, "primary_failed", e.what());
+    }
+
+    if (!ok && options.svd_method != SvdMethod::gram_evd) {
+      // Second chance: Gram+EVD tolerates a wider range of inputs than the
+      // QRCP subspace path (it never divides by a pivot).
+      count_fallback(*report);
+      try {
+        updated = llsv_gram(y, mode, ranks[mode]).u;
+        ok = la::all_finite(updated);
+        report->record(index, mode, "fallback_gram_evd",
+                       ok ? "recovered via Gram+EVD"
+                          : "Gram+EVD also produced non-finite values");
+      } catch (const numerical_error& e) {
+        report->record(index, mode, "fallback_gram_evd_failed", e.what());
       }
     }
-    leaf_update(y, j, factors, ranks, options, sweep_index, report);
-    if (j == d - 1) {
-      prof::TraceSpan t("core_ttm", Phase::ttm);
-      core = dist::dist_ttm(y, j, factors[j].cref());
-    }
-  }
-  return core;
-}
 
-// Dimension-tree sweep (Alg. 4). `modes` lists the modes not yet
-// multiplied into `node`; leaves are reached in ascending mode order so the
-// core falls out of the last leaf.
-template <typename T>
-void sweep_tree_recurse(const dist::DistTensor<T>& node,
-                        const std::vector<int>& modes,
-                        std::vector<la::Matrix<T>>& factors,
-                        const std::vector<idx_t>& ranks,
-                        const HooiOptions& options, int sweep_index,
-                        int d, dist::DistTensor<T>& core,
-                        SolveReport* report) {
-  if (modes.size() == 1) {
-    const int m = modes[0];
-    prof::TraceSpan mode_span("mode", static_cast<std::int64_t>(m));
-    leaf_update(node, m, factors, ranks, options, sweep_index, report);
+    if (ok) {
+      factors[mode] = std::move(updated);
+      return;
+    }
+    // Last resort: keep the previous factor (clamped to the requested rank).
+    // It is orthonormal and finite, so the sweep stays well-posed; accuracy
+    // for this mode simply does not improve this sweep.
+    count_fallback(*report);
+    const idx_t keep = std::min<idx_t>(factors[mode].cols(), ranks[mode]);
+    factors[mode] = factors[mode].leading_block(factors[mode].rows(), keep);
+    report->record(index, mode, "kept_previous_factor",
+                   "all update paths failed; factor unchanged this sweep");
+  }
+
+  // A leaf of the sweep: updates factors[m] from `y`; the last mode's leaf
+  // also forms the core G = Y x_m U_m^T.
+  void leaf(const dist::DistTensor<T>& y, int m) {
+    update(y, m);
     if (m == d - 1) {
       prof::TraceSpan t("core_ttm", Phase::ttm);
-      core = dist::dist_ttm(node, m, factors[m].cref());
+      core = dist::dist_ttm(y, m, factors[m].cref());
     }
-    return;
   }
-  const std::size_t half = modes.size() / 2;
-  const std::vector<int> mu(modes.begin(), modes.begin() + half);
-  const std::vector<int> eta(modes.begin() + half, modes.end());
 
-  // Multiply the eta modes (descending: the last-mode TTM is a single large
-  // GEMM in this layout, §3.3) and recurse into the mu leaves.
-  {
-    dist::DistTensor<T> a;
-    {
-      prof::TraceSpan t("tree_ttm", Phase::ttm);
-      // Chain nodes *are* the dimension-tree memo cache: charge their local
-      // blocks to dt_memo so the memo footprint is a gauge of its own (the
-      // leaves' LLSV allocations below stay under dist_tensor).
-      const metrics::MemScopeGuard memo_scope(metrics::MemScope::dt_memo);
-      const dist::DistTensor<T>* src = &node;
-      for (auto it = eta.rbegin(); it != eta.rend(); ++it) {
-        a = dist::dist_ttm(*src, *it, factors[*it].cref());
-        src = &a;
+  // Direct sweep (Alg. 2): one fresh multi-TTM from X per subiteration.
+  void direct(const dist::DistTensor<T>& x) {
+    for (int j = 0; j < d; ++j) {
+      prof::TraceSpan mode_span("mode", static_cast<std::int64_t>(j));
+      dist::DistTensor<T> y;
+      {
+        prof::TraceSpan t("multi_ttm", Phase::ttm);
+        const dist::DistTensor<T>* src = &x;
+        for (int i = 0; i < d; ++i) {
+          if (i == j) continue;
+          y = dist::dist_ttm(*src, i, factors[i].cref());
+          src = &y;
+        }
       }
+      leaf(y, j);
     }
-    sweep_tree_recurse(a, mu, factors, ranks, options, sweep_index, d,
-                       core, report);
   }
-  // Multiply the mu modes with their freshly-updated factors and recurse
-  // into the eta leaves.
-  {
-    dist::DistTensor<T> b;
-    {
-      prof::TraceSpan t("tree_ttm", Phase::ttm);
-      const metrics::MemScopeGuard memo_scope(metrics::MemScope::dt_memo);
-      const dist::DistTensor<T>* src = &node;
-      for (const int i : mu) {
-        b = dist::dist_ttm(*src, i, factors[i].cref());
-        src = &b;
-      }
-    }
-    sweep_tree_recurse(b, eta, factors, ranks, options, sweep_index, d,
-                       core, report);
-  }
-}
 
-template <typename T>
-dist::DistTensor<T> sweep_tree(const dist::DistTensor<T>& x,
-                               std::vector<la::Matrix<T>>& factors,
-                               const std::vector<idx_t>& ranks,
-                               const HooiOptions& options,
-                               int sweep_index, SolveReport* report) {
-  const int d = x.ndims();
-  std::vector<int> all(d);
-  for (int j = 0; j < d; ++j) all[j] = j;
-  dist::DistTensor<T> core;
-  sweep_tree_recurse(x, all, factors, ranks, options, sweep_index, d,
-                     core, report);
-  return core;
-}
+  // Multiplies `modes` (in order) into `node`. Chain nodes *are* the
+  // dimension-tree memo cache: their local blocks are charged to dt_memo so
+  // the memo footprint is a gauge of its own (the leaves' LLSV allocations
+  // stay under dist_tensor).
+  dist::DistTensor<T> chain(const dist::DistTensor<T>& node,
+                            const std::vector<int>& modes) const {
+    prof::TraceSpan t("tree_ttm", Phase::ttm);
+    const metrics::MemScopeGuard memo_scope(metrics::MemScope::dt_memo);
+    dist::DistTensor<T> out;
+    const dist::DistTensor<T>* src = &node;
+    for (const int i : modes) {
+      out = dist::dist_ttm(*src, i, factors[i].cref());
+      src = &out;
+    }
+    return out;
+  }
+
+  // Dimension-tree sweep (Alg. 4). `modes` lists the modes not yet
+  // multiplied into `node`; leaves are reached in ascending mode order so
+  // the core falls out of the last leaf.
+  void tree(const dist::DistTensor<T>& node, const std::vector<int>& modes) {
+    if (modes.size() == 1) {
+      prof::TraceSpan mode_span("mode", static_cast<std::int64_t>(modes[0]));
+      leaf(node, modes[0]);
+      return;
+    }
+    const std::size_t half = modes.size() / 2;
+    const std::vector<int> mu(modes.begin(), modes.begin() + half);
+    const std::vector<int> eta(modes.begin() + half, modes.end());
+    // Multiply the eta modes (descending: the last-mode TTM is a single
+    // large GEMM in this layout, §3.3) and recurse into the mu leaves; then
+    // the mu modes with their freshly-updated factors, into the eta leaves.
+    tree(chain(node, std::vector<int>(eta.rbegin(), eta.rend())), mu);
+    tree(chain(node, mu), eta);
+  }
+};
 
 }  // namespace
 
@@ -275,125 +219,49 @@ dist::DistTensor<T> hooi_sweep(const dist::DistTensor<T>& x,
                                const std::vector<idx_t>& ranks,
                                const HooiOptions& options, int sweep_index,
                                SolveReport* report) {
-  RAHOOI_REQUIRE(static_cast<int>(factors.size()) == x.ndims(),
+  const int d = x.ndims();
+  RAHOOI_REQUIRE(static_cast<int>(factors.size()) == d,
                  "hooi_sweep: one factor per mode required");
-  RAHOOI_REQUIRE(static_cast<int>(ranks.size()) == x.ndims(),
+  RAHOOI_REQUIRE(static_cast<int>(ranks.size()) == d,
                  "hooi_sweep: one rank per mode required");
   prof::TraceSpan span("sweep", static_cast<std::int64_t>(sweep_index));
-  if (x.ndims() == 1) {
+  Sweep<T> sweep{factors, ranks, options, sweep_index, report, d, {}};
+  if (d == 1) {
     // Degenerate single-mode case: HOOI reduces to one LLSV of X itself.
-    leaf_update(x, 0, factors, ranks, options, sweep_index, report);
-    prof::TraceSpan t("core_ttm", Phase::ttm);
-    return dist::dist_ttm(x, 0, factors[0].cref());
+    sweep.leaf(x, 0);
+  } else if (options.use_dimension_tree) {
+    std::vector<int> all(d);
+    for (int j = 0; j < d; ++j) all[j] = j;
+    sweep.tree(x, all);
+  } else {
+    sweep.direct(x);
   }
-  return options.use_dimension_tree
-             ? sweep_tree(x, factors, ranks, options, sweep_index, report)
-             : sweep_direct(x, factors, ranks, options, sweep_index, report);
+  return std::move(sweep.core);
 }
-
-namespace {
-
-/// World rank for fault-site matching: the Runtime thread binding when
-/// present (rank threads), else the communicator rank (serial API).
-template <typename T>
-int fault_rank_of(const dist::DistTensor<T>& x) {
-  const int bound = comm::bound_world_rank();
-  return bound >= 0 ? bound : x.grid().world().rank();
-}
-
-}  // namespace
 
 template <typename T>
 HooiResult<T> hooi(const dist::DistTensor<T>& x,
                    const std::vector<idx_t>& ranks,
                    const HooiOptions& options) {
   validate(options);
-  if (options.collective_timeout_ms > 0.0) {
-    x.grid().world().set_collective_timeout(options.collective_timeout_ms /
-                                            1000.0);
-  }
   HooiResult<T> out;
-  std::optional<prof::ScopedRecorder> installed;
-  if (options.profile && prof::recorder() == nullptr) {
-    out.trace = std::make_shared<prof::Recorder>(x.grid().world().rank());
-    installed.emplace(*out.trace);
-  }
-  std::optional<metrics::ScopedRegistry> metered;
-  if (options.metrics && metrics::registry() == nullptr) {
-    out.metrics = std::make_shared<metrics::Registry>(x.grid().world().rank());
-    metered.emplace(*out.metrics);
-  }
-  metrics::Registry* const mreg = metrics::registry();
-  const std::uint64_t retries0 =
-      mreg != nullptr ? mreg->counter(metrics::Counter::fault_retries) : 0;
-  // Root span tagged Phase::other: every second of the run lands in some
-  // phase bucket, so the per-phase breakdown sums to this span's wall time.
-  prof::TraceSpan root("hooi", Phase::other);
+  SolveSession<T> session(x, "hooi", options, &out.report);
   out.decomposition.x_norm_sq = x.norm_squared();
 
   int start = 0;
-  double prev_error = 1.0;
-  if (!options.restore_path.empty()) {
-    // Every rank reads the (replicated) checkpoint itself — no broadcast
-    // needed, and a corrupt file fails identically everywhere.
-    SweepCheckpoint<T> ck = load_checkpoint<T>(options.restore_path);
-    RAHOOI_REQUIRE(ck.kind == CheckpointKind::hooi,
-                   "restore: checkpoint was written by rank_adaptive_hooi");
-    RAHOOI_REQUIRE(ck.seed == options.seed,
-                   "restore: checkpoint seed differs from options.seed");
-    RAHOOI_REQUIRE(ck.ranks == ranks,
+  if (auto ck = session.restore(options.max_iters)) {
+    RAHOOI_REQUIRE(ck->ranks == ranks,
                    "restore: checkpoint ranks differ from requested ranks");
-    RAHOOI_REQUIRE(static_cast<int>(ck.factors.size()) == x.ndims(),
-                   "restore: checkpoint order differs from the tensor");
-    for (int j = 0; j < x.ndims(); ++j) {
-      RAHOOI_REQUIRE(ck.factors[j].rows() == x.global_dim(j),
-                     "restore: checkpoint dims differ from the tensor");
-    }
-    RAHOOI_REQUIRE(ck.sweeps_done < options.max_iters,
-                   "restore: checkpointed solve already ran max_iters sweeps");
-    out.decomposition.factors = std::move(ck.factors);
-    out.error_history = std::move(ck.error_history);
-    start = static_cast<int>(ck.sweeps_done);
-    out.iterations = start;
-    if (!out.error_history.empty()) prev_error = out.error_history.back();
+    out.decomposition.factors = std::move(ck->factors);
+    out.error_history = std::move(ck->error_history);
+    start = out.iterations = static_cast<int>(ck->sweeps_done);
   } else {
     out.decomposition.factors =
         random_factors<T>(x.global_dims(), ranks, options.seed);
   }
 
   for (int iter = start; iter < options.max_iters; ++iter) {
-    // Cooperative checkpoint-and-yield (serve preemption): rank 0 reads the
-    // scheduler's flag and broadcasts the verdict, so every rank takes the
-    // same exit at the same sweep boundary — the previous sweep's
-    // checkpoint is already on disk and no collective is torn mid-post.
-    if (options.yield_flag != nullptr) {
-      int yield = (x.grid().world().rank() == 0 &&
-                   options.yield_flag->load(std::memory_order_acquire) != 0)
-                      ? 1
-                      : 0;
-      x.grid().world().bcast(&yield, 1, 0);
-      if (yield != 0) {
-        if (obs::FlightRecorder* fr = obs::flight_recorder()) {
-          fr->record(obs::RecordKind::yield, "sweep", double(iter));
-        }
-        throw PreemptedError("hooi yielded after sweep " +
-                             std::to_string(iter));
-      }
-    }
-    // Solver-level fault site: "kill:sweep@R#N" in a fault plan kills rank
-    // R at the start of its Nth sweep (the checkpoint/restart ctest hook).
-    fault::inject_point("sweep", fault_rank_of(x));
-    // Pre-sweep baselines for the telemetry event's deltas.
-    const Stats* const st = stats::current();
-    const double flops0 =
-        (mreg != nullptr && st != nullptr) ? st->total_flops() : 0.0;
-    const double bytes0 =
-        (mreg != nullptr && st != nullptr) ? st->total_comm_bytes() : 0.0;
-    const std::uint64_t sweep_retries0 =
-        mreg != nullptr ? mreg->counter(metrics::Counter::fault_retries) : 0;
-    const std::uint64_t sweep_fallbacks0 = out.report.fallbacks;
-    const double t0 = mreg != nullptr ? stats::now() : 0.0;
-
+    session.begin_step(iter);
     out.decomposition.core = hooi_sweep(x, out.decomposition.factors, ranks,
                                         options, iter, &out.report);
     out.decomposition.core_norm_sq = out.decomposition.core.norm_squared();
@@ -401,52 +269,29 @@ HooiResult<T> hooi(const dist::DistTensor<T>& x,
     const double err = out.decomposition.relative_error();
     out.error_history.push_back(err);
 
-    if (!options.checkpoint_path.empty() &&
-        x.grid().world().rank() == 0) {
-      // Factors are replicated, so rank 0's copy is the world's state.
+    metrics::Event ev;
+    ev.kind = "sweep";
+    ev.ranks = ranks;
+    ev.rel_error = err;
+    ev.seconds = session.step_seconds();
+    ev.compressed_size = out.decomposition.compressed_size();
+    ev.detail = variant_name(options);
+    session.step_done(std::move(ev), [&] {
       SweepCheckpoint<T> ck;
-      ck.sweeps_done = iter + 1;
-      ck.seed = options.seed;
       ck.ranks = ranks;
       ck.factors = out.decomposition.factors;
       ck.error_history = out.error_history;
-      save_checkpoint(options.checkpoint_path, ck);
-    }
+      return ck;
+    });
 
-    if (mreg != nullptr) {
-      mreg->count(metrics::Counter::solver_sweeps);
-      metrics::Event ev;
-      ev.solver = "hooi";
-      ev.kind = "sweep";
-      ev.sweep = iter + 1;
-      ev.ranks.assign(ranks.begin(), ranks.end());
-      ev.rel_error = err;
-      ev.seconds = stats::now() - t0;
-      if (st != nullptr) {
-        ev.flops = st->total_flops() - flops0;
-        ev.comm_bytes = st->total_comm_bytes() - bytes0;
-      }
-      ev.compressed_size = out.decomposition.compressed_size();
-      ev.retries =
-          mreg->counter(metrics::Counter::fault_retries) - sweep_retries0;
-      ev.fallbacks = out.report.fallbacks - sweep_fallbacks0;
-      ev.llsv_fallback = ev.fallbacks > 0;
-      ev.detail = variant_name(options);
-      mreg->add_event(ev);
-    }
-
+    const std::size_t n = out.error_history.size();
+    const double prev_error = n > 1 ? out.error_history[n - 2] : 1.0;
     if (options.convergence_tol > 0.0 &&
         prev_error - err < options.convergence_tol) {
       break;
     }
-    prev_error = err;
   }
-  if (mreg != nullptr) {
-    out.report.retries =
-        mreg->counter(metrics::Counter::fault_retries) - retries0;
-    out.report.metrics_snapshot = metrics::snapshot(*mreg);
-  }
-  out.report.trace_id = obs::trace_id();
+  session.finish();
   return out;
 }
 

@@ -3,11 +3,14 @@
 //   "SVD Method"                  -> SvdMethod (0 = Gram+EVD, 1 = randomized
 //                                    subspace, 2 = subspace iteration,
 //                                    3 = Gaussian sketch, 4 = Khatri-Rao
-//                                    sketch; the driver also accepts -1 =
-//                                    auto via model::pick_llsv_backend)
+//                                    sketch; -1 = auto via
+//                                    model::pick_llsv_backend)
 //   "Dimension Tree Memoization"  -> use_dimension_tree
-//   "HOOI-Adapt Threshold"        -> adapt_tolerance (eps; 0 disables)
+//   "HOOI-Adapt Threshold"        -> RankAdaptiveOptions::tolerance
+//                                    (eps; 0 runs fixed-rank hooi)
 //   "HOOI max iters"              -> max_iters
+// io::solver_options (io/solver_params.hpp) is the one implementation of
+// this mapping.
 // The HOOI variants of the paper (§4, artifact table) plus the sketched
 // extensions of this library:
 //   HOOI     = {gram_evd, no tree},   HOOI-DT = {gram_evd, tree},
@@ -109,22 +112,6 @@ struct HooiOptions {
   /// boundary's checkpoint is already on disk and no collective is torn
   /// mid-post. Null (default): no check, no collective, no cost.
   const std::atomic<int>* yield_flag = nullptr;
-  /// Record a hierarchical trace of the run (prof::TraceSpan events). When
-  /// set and no prof::Recorder is already installed on the calling thread,
-  /// hooi() and rank_adaptive_hooi() install one and hand it back in
-  /// their result's `trace` field. Off by default: with no recorder
-  /// installed a span is one thread-local load and a branch, so the
-  /// instrumented hot paths run at full speed (see docs/PROFILING.md).
-  bool profile = false;
-  /// Record counters/histograms/peak-memory gauges and a structured
-  /// solver-telemetry event log (metrics/metrics.hpp). When set and no
-  /// metrics::Registry is already installed on the calling thread, hooi()
-  /// and rank_adaptive_hooi() install one and hand it back in their
-  /// result's `metrics` field; a final snapshot is embedded in the
-  /// SolveReport either way. Off by default: with no registry installed
-  /// each instrumented site costs one thread-local load and a branch
-  /// (see docs/OBSERVABILITY.md and bench_metrics_guard).
-  bool metrics = false;
 };
 
 /// How ranks evolve when the error threshold is not yet met.

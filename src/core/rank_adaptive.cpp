@@ -1,16 +1,11 @@
 #include "core/rank_adaptive.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <optional>
 
-#include "comm/monitor.hpp"
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
-#include "core/checkpoint.hpp"
-#include "core/sthosvd.hpp"
-#include "fault/fault.hpp"
-#include "metrics/metrics.hpp"
-#include "metrics/report.hpp"
+#include "core/solve_session.hpp"
 #include "prof/trace.hpp"
 
 namespace rahooi::core {
@@ -130,28 +125,9 @@ RankAdaptiveResult<T> rank_adaptive_hooi(
   RAHOOI_REQUIRE(static_cast<int>(initial_ranks.size()) == d,
                  "rank_adaptive_hooi: one initial rank per mode required");
   validate(options);
-  if (options.hooi.collective_timeout_ms > 0.0) {
-    x.grid().world().set_collective_timeout(
-        options.hooi.collective_timeout_ms / 1000.0);
-  }
-
   RankAdaptiveResult<T> out;
-  std::optional<prof::ScopedRecorder> installed;
-  if (options.hooi.profile && prof::recorder() == nullptr) {
-    out.trace = std::make_shared<prof::Recorder>(x.grid().world().rank());
-    installed.emplace(*out.trace);
-  }
-  std::optional<metrics::ScopedRegistry> metered;
-  if (options.hooi.metrics && metrics::registry() == nullptr) {
-    out.metrics = std::make_shared<metrics::Registry>(x.grid().world().rank());
-    metered.emplace(*out.metrics);
-  }
-  metrics::Registry* const mreg = metrics::registry();
-  const std::uint64_t retries0 =
-      mreg != nullptr ? mreg->counter(metrics::Counter::fault_retries) : 0;
-  // Root span tagged Phase::other: the per-phase breakdown sums to the
-  // whole run's wall time (see prof/trace.hpp).
-  prof::TraceSpan root("ra", Phase::other);
+  SolveSession<T> session(x, "ra", options.hooi, &out.report,
+                          CheckpointKind::rank_adaptive);
   out.x_norm_sq = x.norm_squared();
   const double target_sq =
       (1.0 - options.tolerance * options.tolerance) * out.x_norm_sq;
@@ -163,49 +139,32 @@ RankAdaptiveResult<T> rank_adaptive_hooi(
   }
   std::vector<la::Matrix<T>> factors;
   int start = 0;
-  if (!options.hooi.restore_path.empty()) {
+  if (auto ck = session.restore(options.max_iters)) {
     // Resume from a rank-adaptive checkpoint: the rank trajectory, the
     // replicated factors, and the best satisfied decomposition so far are
-    // restored, and the loop continues at the recorded iteration. Every
-    // rank reads the (replicated) file itself — a corrupt checkpoint fails
-    // identically everywhere. Because the growth seeds are
-    // iteration-indexed and the RNG is counter-based, the remaining
-    // iterations replay bitwise identically to the uninterrupted run.
-    SweepCheckpoint<T> ck = load_checkpoint<T>(options.hooi.restore_path);
-    RAHOOI_REQUIRE(ck.kind == CheckpointKind::rank_adaptive,
-                   "restore: checkpoint was written by fixed-rank hooi()");
-    RAHOOI_REQUIRE(ck.seed == options.hooi.seed,
-                   "restore: checkpoint seed differs from options.hooi.seed");
-    RAHOOI_REQUIRE(static_cast<int>(ck.factors.size()) == d,
-                   "restore: checkpoint order differs from the tensor");
-    for (int j = 0; j < d; ++j) {
-      RAHOOI_REQUIRE(ck.factors[j].rows() == x.global_dim(j),
-                     "restore: checkpoint dims differ from the tensor");
-    }
-    RAHOOI_REQUIRE(ck.sweeps_done < options.max_iters,
-                   "restore: checkpointed solve already ran max_iters "
-                   "iterations");
-    ranks = ck.ranks;
-    factors = std::move(ck.factors);
-    start = static_cast<int>(ck.sweeps_done);
-    out.satisfied = ck.ra_satisfied;
-    if (ck.ra_satisfied) {
-      out.rel_error = ck.ra_best_rel_error;
-      out.compressed_size = static_cast<idx_t>(ck.ra_best_size);
-      out.tucker = std::move(ck.best);
+    // restored, and the loop continues at the recorded iteration. Because
+    // the growth seeds are iteration-indexed and the RNG is counter-based,
+    // the remaining iterations replay bitwise identically to the
+    // uninterrupted run.
+    ranks = ck->ranks;
+    factors = std::move(ck->factors);
+    start = static_cast<int>(ck->sweeps_done);
+    out.satisfied = ck->ra_satisfied;
+    if (ck->ra_satisfied) {
+      out.rel_error = ck->ra_best_rel_error;
+      out.compressed_size = static_cast<idx_t>(ck->ra_best_size);
+      out.tucker = std::move(ck->best);
     }
     // Reseed the iteration log with the last completed iteration's summary
     // so the unsatisfied-fallback path below keeps working when the resumed
     // run also never satisfies the tolerance.
-    RaIterationRecord resumed;
-    resumed.index = start;
-    resumed.sweep_ranks = ranks;
-    resumed.ranks_after = ranks;
-    resumed.rel_error = ck.ra_last_rel_error;
-    resumed.rel_error_after = ck.ra_last_rel_error;
-    resumed.compressed_size = static_cast<idx_t>(ck.ra_last_size);
-    resumed.satisfied = ck.ra_satisfied;
-    out.iterations.push_back(std::move(resumed));
+    out.iterations.push_back({.index = start,
+                              .sweep_ranks = ranks,
+                              .rel_error = ck->ra_last_rel_error,
+                              .satisfied = ck->ra_satisfied,
+                              .ranks_after = ranks,
+                              .compressed_size = ck->ra_last_size,
+                              .rel_error_after = ck->ra_last_rel_error});
   } else if (options.init == RaInit::sketched_sthosvd) {
     // Randomized ST-HOSVD warm start: one sketched pass at the target
     // tolerance seeds both factors and ranks, so the first HOOI iteration
@@ -227,70 +186,11 @@ RankAdaptiveResult<T> rank_adaptive_hooi(
 
   for (int iter = start + 1; iter <= options.max_iters; ++iter) {
     prof::TraceSpan iter_span("iteration", static_cast<std::int64_t>(iter));
-    // Cooperative checkpoint-and-yield (serve preemption): rank 0 reads the
-    // scheduler's flag and broadcasts the verdict, so every rank takes the
-    // same exit at the same iteration boundary — the previous iteration's
-    // checkpoint is already on disk and no collective is torn mid-post.
-    if (options.hooi.yield_flag != nullptr) {
-      int yield =
-          (x.grid().world().rank() == 0 &&
-           options.hooi.yield_flag->load(std::memory_order_acquire) != 0)
-              ? 1
-              : 0;
-      x.grid().world().bcast(&yield, 1, 0);
-      if (yield != 0) {
-        throw PreemptedError("rank_adaptive_hooi yielded after iteration " +
-                             std::to_string(iter - 1));
-      }
-    }
-    bool stop = false;
+    session.begin_step(iter - 1);
     RaIterationRecord rec;
     rec.index = iter;
     rec.sweep_ranks = ranks;
 
-    // Pre-iteration baselines for the telemetry event's deltas, and the
-    // emitter both exit paths share. The event is a superset of `rec`: the
-    // fig4/6/8 progression benches read their trajectories from the log.
-    const Stats* const st = stats::current();
-    const double flops0 =
-        (mreg != nullptr && st != nullptr) ? st->total_flops() : 0.0;
-    const double bytes0 =
-        (mreg != nullptr && st != nullptr) ? st->total_comm_bytes() : 0.0;
-    const std::uint64_t it_retries0 =
-        mreg != nullptr ? mreg->counter(metrics::Counter::fault_retries) : 0;
-    const std::uint64_t it_fallbacks0 = out.report.fallbacks;
-    const auto emit_iteration = [&](const RaIterationRecord& r) {
-      if (mreg == nullptr) return;
-      mreg->count(metrics::Counter::solver_sweeps);
-      metrics::Event ev;
-      ev.solver = "ra";
-      ev.kind = "iteration";
-      ev.sweep = r.index;
-      ev.ranks.assign(r.sweep_ranks.begin(), r.sweep_ranks.end());
-      ev.ranks_after.assign(r.ranks_after.begin(), r.ranks_after.end());
-      ev.rel_error = r.rel_error;
-      ev.rel_error_after = r.rel_error_after;
-      ev.seconds = r.seconds;
-      ev.core_analysis_seconds = r.core_analysis_seconds;
-      if (st != nullptr) {
-        ev.flops = st->total_flops() - flops0;
-        ev.comm_bytes = st->total_comm_bytes() - bytes0;
-      }
-      ev.compressed_size = r.compressed_size;
-      ev.retries =
-          mreg->counter(metrics::Counter::fault_retries) - it_retries0;
-      ev.fallbacks = out.report.fallbacks - it_fallbacks0;
-      ev.llsv_fallback = ev.fallbacks > 0;
-      ev.satisfied = r.satisfied;
-      mreg->add_event(ev);
-    };
-
-    // Solver-level fault site, same semantics as in hooi() (see there).
-    {
-      const int bound = comm::bound_world_rank();
-      fault::inject_point(
-          "sweep", bound >= 0 ? bound : x.grid().world().rank());
-    }
     x.grid().world().barrier();
     Stopwatch sweep_clock;
     dist::DistTensor<T> core =
@@ -341,9 +241,6 @@ RankAdaptiveResult<T> rank_adaptive_hooi(
       for (int j = 0; j < d; ++j) {
         factors[j] = factors[j].leading_block(factors[j].rows(), ranks[j]);
       }
-      emit_iteration(rec);
-      out.iterations.push_back(std::move(rec));
-      stop = !options.continue_after_satisfied;
     } else {
       std::vector<idx_t> next(d);
       if (options.strategy == AdaptStrategy::modewise) {
@@ -388,18 +285,23 @@ RankAdaptiveResult<T> rank_adaptive_hooi(
         sz += x.global_dim(j) * rec.sweep_ranks[j];
       }
       rec.compressed_size = sz;
-      emit_iteration(rec);
-      out.iterations.push_back(std::move(rec));
     }
 
-    if (!options.hooi.checkpoint_path.empty() &&
-        x.grid().world().rank() == 0) {
-      // Factors, ranks, and the best-so-far decomposition are replicated,
-      // so rank 0's copy is the world's state.
+    // The event is a superset of `rec`: the fig4/6/8 progression benches
+    // read their trajectories from the log.
+    metrics::Event ev;
+    ev.kind = "iteration";
+    ev.ranks = rec.sweep_ranks;
+    ev.ranks_after = rec.ranks_after;
+    ev.rel_error = rec.rel_error;
+    ev.rel_error_after = rec.rel_error_after;
+    ev.seconds = rec.seconds;
+    ev.core_analysis_seconds = rec.core_analysis_seconds;
+    ev.compressed_size = rec.compressed_size;
+    ev.satisfied = rec.satisfied;
+    out.iterations.push_back(std::move(rec));
+    session.step_done(std::move(ev), [&] {
       SweepCheckpoint<T> ck;
-      ck.kind = CheckpointKind::rank_adaptive;
-      ck.sweeps_done = iter;
-      ck.seed = options.hooi.seed;
       ck.ranks = ranks;
       ck.factors = factors;
       for (const auto& it : out.iterations) {
@@ -414,9 +316,12 @@ RankAdaptiveResult<T> rank_adaptive_hooi(
         ck.ra_best_size = static_cast<std::int64_t>(out.compressed_size);
         ck.best = out.tucker;
       }
-      save_checkpoint(options.hooi.checkpoint_path, ck);
+      return ck;
+    });
+    if (out.iterations.back().satisfied &&
+        !options.continue_after_satisfied) {
+      break;
     }
-    if (stop) break;
   }
 
   if (!out.satisfied) {
@@ -433,12 +338,7 @@ RankAdaptiveResult<T> rank_adaptive_hooi(
     out.tucker.core = core.allgather_full();
     out.tucker.factors = factors;
   }
-  if (mreg != nullptr) {
-    out.report.retries =
-        mreg->counter(metrics::Counter::fault_retries) - retries0;
-    out.report.metrics_snapshot = metrics::snapshot(*mreg);
-  }
-  out.report.trace_id = obs::trace_id();
+  session.finish();
   return out;
 }
 

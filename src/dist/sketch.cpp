@@ -26,14 +26,6 @@ int ceil_log2(std::uint64_t v) {
   return b;
 }
 
-/// World rank for fault-site matching: the Runtime thread binding when
-/// present (rank threads), else the communicator rank (serial API).
-template <typename T>
-int fault_rank_of(const DistTensor<T>& x) {
-  const int bound = comm::bound_world_rank();
-  return bound >= 0 ? bound : x.grid().world().rank();
-}
-
 /// Per-rank geometry of the mode-`mode` sketch: global fiber indices of the
 /// local block's fibers, decomposed over the slab geometry as
 /// kk(l, s) = lk[l] + rbase(s), with l indexing the left fibers of a slab
@@ -185,7 +177,8 @@ la::Matrix<T> dist_sketch_mode(const DistTensor<T>& x, int mode, idx_t cols,
   // Site hook for the fault-tolerance suite: injected transient faults are
   // retried with bounded backoff before any collective below runs, so a
   // recovered rank re-enters the schedule in lockstep with its peers.
-  fault::with_retry([&] { fault::inject_point("sketch", fault_rank_of(x)); });
+  const int site_rank = comm::fault_rank(x.grid().world().rank());
+  fault::with_retry([&] { fault::inject_point("sketch", site_rank); });
   if (metrics::Registry* reg = metrics::registry()) {
     // Two views of the same knob: the named counter accumulates total
     // columns sketched (apply volume), the gauge's high-water mark reports
@@ -281,7 +274,7 @@ la::Matrix<T> dist_sketch_mode(const DistTensor<T>& x, int mode, idx_t cols,
       std::copy(src, src + m_loc, dst);
     }
     x.grid().world().allreduce_sum(y.data(), y.size());
-    fault::inject_payload("sketch", fault_rank_of(x), y.data(),
+    fault::inject_payload("sketch", site_rank, y.data(),
                           sizeof(T) * static_cast<std::size_t>(y.size()));
     return y;
   }
@@ -349,7 +342,7 @@ la::Matrix<T> dist_sketch_mode(const DistTensor<T>& x, int mode, idx_t cols,
   // entry per sketch column (the quantization llrint is not a flop).
   stats::add_flops(2.0 * static_cast<double>(x.local().size()) *
                    static_cast<double>(cols));
-  fault::inject_payload("sketch", fault_rank_of(x), y.data(),
+  fault::inject_payload("sketch", site_rank, y.data(),
                         sizeof(T) * static_cast<std::size_t>(y.size()));
   return y;
 }

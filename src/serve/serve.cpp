@@ -16,9 +16,8 @@
 #include "comm/runtime.hpp"
 #include "core/checkpoint.hpp"
 #include "core/rank_adaptive.hpp"
-#include "data/dataset.hpp"
 #include "fault/fault.hpp"
-#include "io/tensor_io.hpp"
+#include "io/solver_params.hpp"
 #include "model/cost_model.hpp"
 
 namespace rahooi::serve {
@@ -31,66 +30,6 @@ namespace {
 /// pool: a job whose modeled solve time is comparable to the spawn cost
 /// gains nothing from extra ranks but would still crowd out its neighbors.
 constexpr double kWorldSpawnSeconds = 2e-4;
-
-/// The serve job runner's input: the same parameters as
-/// examples/driver_common.hpp make_input.
-template <typename T>
-dist::DistTensor<T> make_input(const io::ParamFile& params,
-                               const dist::ProcessorGrid& grid,
-                               const std::vector<idx_t>& dims,
-                               const std::vector<idx_t>& ranks) {
-  if (params.has("Input file")) {
-    return io::read_dist_tensor<T>(grid, dims,
-                                   params.get_string("Input file"));
-  }
-  return data::make_dataset<T>(
-      params.get_string("Dataset", "synthetic"), grid, dims, ranks,
-      params.get_double("Noise", 1e-4),
-      static_cast<std::uint64_t>(params.get_int("Seed", 1)));
-}
-
-/// Solver options from the request parameters — the same mapping as
-/// examples/hooi_driver.cpp, minus the terminal output.
-core::HooiOptions hooi_options_from(const io::ParamFile& params,
-                                    const std::vector<idx_t>& dims,
-                                    const std::vector<idx_t>& decomposition,
-                                    const std::vector<int>& gdims,
-                                    double pool_timeout_s) {
-  core::HooiOptions o;
-  o.use_dimension_tree = params.get_bool("Dimension Tree Memoization", false);
-  o.max_iters = static_cast<int>(params.get_int("HOOI max iters", 2));
-  o.sketch.oversample = params.get_int("Sketch Oversample", 8);
-  o.sketch.min_cols = params.get_int("Sketch Min Cols", 16);
-  o.sketch.growth = params.get_double("Sketch Growth", 2.0);
-  o.sketch.safety = params.get_double("Sketch Safety", 0.5);
-  o.sketch.deterministic = params.get_bool("Sketch Deterministic", false);
-  long long svd_method = params.get_int("SVD Method", 0);
-  if (svd_method == -1) {
-    model::Problem prob;
-    prob.d = static_cast<int>(dims.size());
-    for (const auto v : dims) prob.n = std::max(prob.n, double(v));
-    for (const auto v : decomposition) prob.r = std::max(prob.r, double(v));
-    prob.iters = o.max_iters;
-    prob.grid = gdims;
-    switch (model::pick_llsv_backend(prob, o.sketch.oversample,
-                                     /*warm_start=*/true)) {
-      case model::LlsvBackend::gram_evd: svd_method = 0; break;
-      case model::LlsvBackend::subspace_iteration: svd_method = 2; break;
-      case model::LlsvBackend::sketch: svd_method = 3; break;
-    }
-  }
-  RAHOOI_REQUIRE(svd_method >= 0 && svd_method <= 4,
-                 "'SVD Method' must be in [0, 4] or -1 (auto)");
-  o.svd_method = static_cast<core::SvdMethod>(svd_method);
-  o.seed = static_cast<std::uint64_t>(params.get_int("Seed", 1));
-  // The pool-level watchdog and the per-request one compose as the larger
-  // deadline: the request knows its solve, the operator knows the pool.
-  o.collective_timeout_ms =
-      std::max(params.get_double("Collective timeout ms", 0.0),
-               pool_timeout_s * 1000.0);
-  o.checkpoint_path = params.get_string("Checkpoint file", "");
-  return o;
-}
 
 /// True when `path` names a readable file — how the dispatcher decides
 /// whether a retrying/preempted job has a checkpoint to resume from.
@@ -129,9 +68,13 @@ void run_typed(Scheduler::JobId, SolveRequest& req, RankPlan& plan,
                  "'Decomposition Ranks' (or 'Ranks') is required");
   if (construction.empty()) construction = decomposition;
 
-  core::HooiOptions hooi_opts = hooi_options_from(
-      params, dims, decomposition, plan.grid, cfg.pool_timeout_s);
-  const double adapt = params.get_double("HOOI-Adapt Threshold", 0.0);
+  io::SolverOptions opts =
+      io::solver_options(params, dims, decomposition, plan.grid);
+  core::HooiOptions& hooi_opts = opts.ra.hooi;
+  // The pool-level watchdog and the per-request one compose as the larger
+  // deadline: the request knows its solve, the operator knows the pool.
+  hooi_opts.collective_timeout_ms = std::max(hooi_opts.collective_timeout_ms,
+                                             cfg.pool_timeout_s * 1000.0);
   if (!cfg.checkpoint_path.empty()) {
     hooi_opts.checkpoint_path = cfg.checkpoint_path;
   }
@@ -140,6 +83,14 @@ void run_typed(Scheduler::JobId, SolveRequest& req, RankPlan& plan,
 
   auto result = std::make_shared<JobResult>();
   result->single = std::is_same_v<T, float>;
+  const auto store = [&](tensor::TuckerTensor<T> tucker) {
+    rep.tucker_ranks = tucker.ranks();
+    if constexpr (std::is_same_v<T, float>) {
+      result->tucker_f = std::move(tucker);
+    } else {
+      result->tucker_d = std::move(tucker);
+    }
+  };
 
   comm::RunOptions ro;
   ro.comm_check = cfg.comm_check;
@@ -174,45 +125,24 @@ void run_typed(Scheduler::JobId, SolveRequest& req, RankPlan& plan,
       plan.p,
       [&](comm::Comm& world) {
         dist::ProcessorGrid grid(world, plan.grid);
-        auto x = make_input<T>(params, grid, dims, construction);
+        auto x = io::make_input<T>(params, grid, dims, construction);
         world.barrier();
-        if (adapt > 0.0) {
-          core::RankAdaptiveOptions opt;
-          opt.hooi = hooi_opts;
-          opt.tolerance = adapt;
-          opt.max_iters = hooi_opts.max_iters;
-          opt.growth_factor = params.get_double("Rank growth factor", 1.5);
-          const std::string init = params.get_string("RA Init", "random");
-          RAHOOI_REQUIRE(init == "sketched" || init == "random",
-                         "'RA Init' must be 'sketched' or 'random'");
-          opt.init = init == "random" ? core::RaInit::random_factors
-                                      : core::RaInit::sketched_sthosvd;
-          auto res = core::rank_adaptive_hooi(x, decomposition, opt);
-          if (world.rank() == 0) {
-            rep.tucker_ranks = res.tucker.ranks();
-            rep.rel_error = res.rel_error;
-            rep.compressed_size = res.compressed_size;
-            rep.solve = std::move(res.report);
-            if constexpr (std::is_same_v<T, float>) {
-              result->tucker_f = std::move(res.tucker);
-            } else {
-              result->tucker_d = std::move(res.tucker);
-            }
-          }
+        // Results are replicated; rank 0 alone writes the shared report.
+        if (opts.adaptive) {
+          auto res = core::rank_adaptive_hooi(x, decomposition, opts.ra);
+          if (world.rank() != 0) return;
+          rep.rel_error = res.rel_error;
+          rep.compressed_size = res.compressed_size;
+          rep.solve = std::move(res.report);
+          store(std::move(res.tucker));
         } else {
           auto res = core::hooi(x, decomposition, hooi_opts);
           auto tucker = res.decomposition.replicated();  // collective
-          if (world.rank() == 0) {
-            rep.tucker_ranks = tucker.ranks();
-            rep.rel_error = res.decomposition.relative_error();
-            rep.compressed_size = tucker.compressed_size();
-            rep.solve = std::move(res.report);
-            if constexpr (std::is_same_v<T, float>) {
-              result->tucker_f = std::move(tucker);
-            } else {
-              result->tucker_d = std::move(tucker);
-            }
-          }
+          if (world.rank() != 0) return;
+          rep.rel_error = res.decomposition.relative_error();
+          rep.compressed_size = tucker.compressed_size();
+          rep.solve = std::move(res.report);
+          store(std::move(tucker));
         }
       },
       nullptr, nullptr, ro);

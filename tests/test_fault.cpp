@@ -18,7 +18,7 @@
 
 #include "comm/runtime.hpp"
 #include "core/checkpoint.hpp"
-#include "core/hooi.hpp"
+#include "core/rank_adaptive.hpp"
 #include "dist/sketch.hpp"
 #include "la/eig.hpp"
 #include "test_util.hpp"
@@ -620,37 +620,142 @@ TEST(Checkpoint, KilledRunRestoresToTheUninterruptedResult) {
 }
 
 TEST(Checkpoint, RestoreRejectsMismatchedConfiguration) {
-  const std::string ck_path = temp_path("rahooi_ck_mismatch.bin");
-  auto x = random_tensor<double>({6, 5, 4}, 11);
+  // One case table over both solvers: each checkpointed solve is resumed
+  // with one thing changed, and must be rejected by the matching check (the
+  // message fragment pins which one fired), or resume to completion.
+  const std::string hooi_ck = temp_path("rahooi_ck_mismatch_hooi.bin");
+  const std::string ra_ck = temp_path("rahooi_ck_mismatch_ra.bin");
   comm::Runtime::run(1, [&](comm::Comm& world) {
-    dist::ProcessorGrid grid(world, {1, 1, 1});
-    auto xd = dist::DistTensor<double>::generate(
-        grid, x.dims(),
-        [&x](const std::vector<la::idx_t>& g) { return x.at(g); });
-    const std::vector<la::idx_t> target{2, 2, 2};
+    const dist::ProcessorGrid grid3(world, {1, 1, 1});
+    const dist::ProcessorGrid grid4(world, {1, 1, 1, 1});
+    const auto distribute = [](const dist::ProcessorGrid& grid,
+                               const std::vector<la::idx_t>& dims) {
+      const auto x = random_tensor<double>(dims, 11);
+      return dist::DistTensor<double>::generate(
+          grid, x.dims(),
+          [&x](const std::vector<la::idx_t>& g) { return x.at(g); });
+    };
+    const auto xd = distribute(grid3, {6, 5, 4});
+    const auto other_dims = distribute(grid3, {7, 5, 4});
+    const auto other_order = distribute(grid4, {6, 5, 4, 3});
+    const std::vector<la::idx_t> r3{2, 2, 2};
+    const std::vector<la::idx_t> r4{2, 2, 2, 2};
     const std::vector<la::idx_t> other_ranks{3, 2, 2};
-    core::HooiOptions o;
-    o.max_iters = 2;
-    o.checkpoint_path = ck_path;
-    (void)core::hooi(xd, target, o);
 
-    core::HooiOptions r = o;
-    r.checkpoint_path.clear();
-    r.restore_path = ck_path;
-    // Already ran max_iters sweeps: nothing to resume.
-    EXPECT_THROW(core::hooi(xd, target, r), precondition_error);
-    // Different seed than the checkpointed run.
-    r.max_iters = 4;
-    r.seed = 999;
-    EXPECT_THROW(core::hooi(xd, target, r), precondition_error);
-    // Different ranks.
-    r.seed = 1;
-    EXPECT_THROW(core::hooi(xd, other_ranks, r), precondition_error);
-    // Valid resume works.
-    auto res = core::hooi(xd, target, r);
-    EXPECT_EQ(res.iterations, 4);
+    core::RankAdaptiveOptions ra;
+    ra.tolerance = 0.3;
+    ra.max_iters = 2;
+    ra.hooi.max_iters = 2;
+    ra.hooi.checkpoint_path = hooi_ck;
+    (void)core::hooi(xd, r3, ra.hooi);
+    ra.hooi.checkpoint_path = ra_ck;
+    (void)core::rank_adaptive_hooi(xd, r3, ra);
+    ra.hooi.checkpoint_path.clear();
+
+    struct Case {
+      const char* name;
+      bool adaptive;  ///< restore into rank_adaptive_hooi (else hooi)
+      const std::string* checkpoint;
+      const dist::DistTensor<double>* x;
+      const std::vector<la::idx_t>* ranks;
+      std::uint64_t seed;
+      int max_iters;
+      const char* rejected_for;  ///< message fragment; nullptr = resumes
+    };
+    const Case cases[] = {
+        {"hooi: rank-adaptive checkpoint", false, &ra_ck, &xd, &r3, 1, 4,
+         "written by rank_adaptive_hooi"},
+        {"hooi: other seed", false, &hooi_ck, &xd, &r3, 999, 4,
+         "seed differs"},
+        {"hooi: other order", false, &hooi_ck, &other_order, &r4, 1, 4,
+         "order differs"},
+        {"hooi: other dims", false, &hooi_ck, &other_dims, &r3, 1, 4,
+         "dims differ"},
+        {"hooi: max_iters reached", false, &hooi_ck, &xd, &r3, 1, 2,
+         "already ran max_iters"},
+        {"hooi: other ranks", false, &hooi_ck, &xd, &other_ranks, 1, 4,
+         "ranks differ"},
+        {"hooi: valid resume", false, &hooi_ck, &xd, &r3, 1, 4, nullptr},
+        {"ra: fixed-rank checkpoint", true, &hooi_ck, &xd, &r3, 1, 4,
+         "written by fixed-rank hooi()"},
+        {"ra: other seed", true, &ra_ck, &xd, &r3, 999, 4, "seed differs"},
+        {"ra: other order", true, &ra_ck, &other_order, &r4, 1, 4,
+         "order differs"},
+        {"ra: other dims", true, &ra_ck, &other_dims, &r3, 1, 4,
+         "dims differ"},
+        {"ra: max_iters reached", true, &ra_ck, &xd, &r3, 1, 2,
+         "already ran max_iters"},
+        {"ra: valid resume", true, &ra_ck, &xd, &r3, 1, 4, nullptr},
+    };
+    for (const Case& c : cases) {
+      SCOPED_TRACE(c.name);
+      core::RankAdaptiveOptions o = ra;
+      o.max_iters = o.hooi.max_iters = c.max_iters;
+      o.hooi.seed = c.seed;
+      o.hooi.restore_path = *c.checkpoint;
+      // Returns the index of the last completed sweep / iteration.
+      const auto resume = [&] {
+        return c.adaptive
+                   ? core::rank_adaptive_hooi(*c.x, *c.ranks, o)
+                         .iterations.back()
+                         .index
+                   : core::hooi(*c.x, *c.ranks, o.hooi).iterations;
+      };
+      if (c.rejected_for == nullptr) {
+        EXPECT_EQ(resume(), c.max_iters);
+        continue;
+      }
+      try {
+        (void)resume();
+        ADD_FAILURE() << "restore was accepted";
+      } catch (const precondition_error& e) {
+        EXPECT_NE(std::string(e.what()).find(c.rejected_for),
+                  std::string::npos)
+            << e.what();
+      }
+    }
   });
-  std::remove(ck_path.c_str());
+  std::remove(hooi_ck.c_str());
+  std::remove(ra_ck.c_str());
+}
+
+TEST(Checkpoint, PreemptedSolveLeavesAYieldMarkOnEveryRank) {
+  // A pre-set yield flag preempts each solver at its first step boundary;
+  // every rank's flight timeline must say why the world stopped.
+  const auto x = random_tensor<double>({6, 5, 4}, 11);
+  const std::atomic<int> yield{1};
+  for (const bool adaptive : {false, true}) {
+    SCOPED_TRACE(adaptive ? "rank_adaptive_hooi" : "hooi");
+    std::vector<comm::RankFailure> failures;
+    comm::RunOptions ro;
+    ro.failures = &failures;
+    EXPECT_THROW(
+        comm::Runtime::run(
+            2,
+            [&](comm::Comm& world) {
+              dist::ProcessorGrid grid(world, {2, 1, 1});
+              const auto xd = dist::DistTensor<double>::generate(
+                  grid, x.dims(),
+                  [&x](const std::vector<la::idx_t>& g) { return x.at(g); });
+              core::RankAdaptiveOptions o;
+              o.hooi.yield_flag = &yield;
+              if (adaptive) {
+                (void)core::rank_adaptive_hooi(xd, {2, 2, 2}, o);
+              } else {
+                (void)core::hooi(xd, {2, 2, 2}, o.hooi);
+              }
+            },
+            nullptr, nullptr, ro),
+        core::PreemptedError);
+    ASSERT_EQ(failures.size(), 2u);
+    for (const comm::RankFailure& f : failures) {
+      bool yielded = false;
+      for (const obs::Record& r : f.flight.records) {
+        yielded = yielded || r.kind == obs::RecordKind::yield;
+      }
+      EXPECT_TRUE(yielded) << "rank " << f.rank;
+    }
+  }
 }
 
 }  // namespace
