@@ -1,18 +1,116 @@
 #include "comm/comm.hpp"
 
 #include <algorithm>
+#include <exception>
+#include <iterator>
+#include <optional>
+#include <string>
+#include <string_view>
+
+#include "common/stats.hpp"
+#include "metrics/metrics.hpp"
+#include "obs/flight_recorder.hpp"
 
 namespace rahooi::comm {
 
+namespace {
+
+/// The names a Comm entry point goes by besides its CollectiveOp.
+struct Site {
+  std::string_view span;               ///< prof span name
+  const char* site;                    ///< park, flight-post and fault site
+  std::optional<CollectiveKind> kind;  ///< none: never charged
+  bool charged_on_one_rank;            ///< no one-rank early return
+};
+
+/// One row per CollectiveOp, in enum order; allreduce_max goes by
+/// allreduce's names.
+constexpr Site kSites[] = {
+    {"barrier", "barrier", {}, false},
+    {"bcast", "bcast", CollectiveKind::bcast, false},
+    {"reduce", "reduce", CollectiveKind::reduce, false},
+    {"allreduce", "allreduce", CollectiveKind::allreduce, false},
+    {"allreduce", "allreduce", CollectiveKind::allreduce, false},
+    {"reduce_scatter", "reduce_scatter", CollectiveKind::reduce_scatter, false},
+    {"allgatherv", "allgather", CollectiveKind::allgather, false},
+    {"alltoallv", "alltoall", CollectiveKind::alltoall, true},
+    {"split", "split", {}, false},
+    {"send", "send", CollectiveKind::point_to_point, true},
+    {"recv", "recv", {}, false},
+};
+static_assert(std::size(kSites) == std::size_t(CollectiveOp::recv) + 1);
+
+const Site& site_of(CollectiveOp op) {
+  return kSites[static_cast<std::size_t>(op)];
+}
+
+}  // namespace
+
+CollectiveScope::CollectiveScope(CollectiveOp op, Context* ctx, int comm_rank,
+                                 std::uint32_t dtype, int root,
+                                 std::uint64_t sched_bytes, double bytes)
+    : op_(op),
+      span_(site_of(op).span),
+      mon_(bound_monitor()),
+      world_rank_(fault_rank(comm_rank)),
+      bytes_(bytes) {
+  const Site& s = site_of(op);
+  if (mon_ == nullptr && ctx != nullptr) mon_ = ctx->monitor().get();
+  if (mon_ != nullptr) {
+    // Copy the prof span path only when the watchdog is armed: that is the
+    // only consumer, and the copy allocates.
+    std::string path;
+    if (mon_->timeout() > 0.0) {
+      if (const prof::Recorder* rec = prof::recorder()) {
+        path = std::string(rec->current_path());
+      }
+    }
+    mon_->park(world_rank_, s.site, std::move(path));
+  }
+  if (obs::FlightRecorder* fr = obs::flight_recorder()) {
+    fr->record(obs::RecordKind::collective_post, s.site);
+  }
+  // A throw here (retries exhausted, injected kill) leaves the rank parked.
+  fault::with_retry([&] { fault::inject_point(s.site, world_rank_); });
+  const int size = ctx != nullptr ? ctx->size() : 1;
+  charged_ = s.kind.has_value() && (size > 1 || s.charged_on_one_rank);
+  if (charged_) {
+    uncaught_ = std::uncaught_exceptions();
+    reg_ = metrics::registry();
+    if (reg_ != nullptr) t0_ = stats::now();
+  }
+  if (op < CollectiveOp::send && size > 1) {  // p2p is not fingerprinted
+    try {
+      ctx->schedule_check(comm_rank,
+                          SchedFingerprint{op, dtype, root, sched_bytes});
+    } catch (...) {
+      if (mon_ != nullptr) mon_->unpark(world_rank_);
+      throw;
+    }
+  }
+}
+
+CollectiveScope::~CollectiveScope() {
+  if (charged_ && std::uncaught_exceptions() == uncaught_) {
+    const CollectiveKind kind = *site_of(op_).kind;
+    stats::add_comm(kind, bytes_);
+    if (obs::FlightRecorder* fr = obs::flight_recorder()) {
+      fr->record(obs::RecordKind::collective_complete, collective_name(kind),
+                 bytes_);
+    }
+    if (reg_ != nullptr) {
+      reg_->record_collective(kind, bytes_, stats::now() - t0_);
+    }
+  }
+  if (mon_ != nullptr) mon_->unpark(world_rank_);
+}
+
 Comm Comm::split(int color, int key) const {
-  prof::TraceSpan span("split");
-  CollectiveGuard guard(ctx_.get(), rank_, "split");
   RAHOOI_REQUIRE(valid(), "split on an invalid communicator");
+  // color/key legitimately differ per rank; only the op kind is replicated.
+  const CollectiveScope scope(CollectiveOp::split, ctx_.get(), rank_);
   const int p = size();
   if (p == 1) return *this;
-
-  // color/key legitimately differ per rank; only the op kind is replicated.
-  ctx_->schedule_check(rank_, SchedFingerprint{SchedOp::split, 0, -1, 0});
 
   // Publish (color, key) and collect everyone's.
   std::int64_t mine[2] = {color, key};

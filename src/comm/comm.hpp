@@ -5,27 +5,12 @@
 // Semantics mirror the MPI collectives TuckerMPI uses. All ranks of a
 // communicator must call the same collective with compatible arguments
 // (counts arrays must match across ranks, as in MPI). Collectives are
-// blocking and bulk-synchronous.
+// blocking and bulk-synchronous. Every blocking wait underneath observes the
+// world's sticky abort flag, so a dead rank releases its peers via
+// AbortedError instead of deadlocking them (docs/ROBUSTNESS.md).
 //
-// Every collective records the bytes this rank communicates, using the
-// communication volume of the standard large-message algorithm for that
-// collective (ring allgather, recursive-halving reduce-scatter, Rabenseifner
-// allreduce, binomial bcast/reduce). This is what the Table 2 reproduction
-// measures.
-
-// Fault tolerance (docs/ROBUSTNESS.md): every collective opens a
-// CollectiveGuard before its first rendezvous — park-registry bookkeeping
-// for the hang watchdog plus the fault-injection entry hook (transient
-// injected faults retried with bounded backoff) — and every blocking wait
-// underneath observes the world's sticky abort flag, so a dead rank releases
-// its peers via AbortedError instead of deadlocking them.
-//
-// Schedule sanitizing (docs/STATIC_ANALYSIS.md): when the world's
-// comm_check flag is up (RunOptions::comm_check / RAHOOI_COMM_CHECK), every
-// collective — not send/recv, which involve only two ranks — cross-validates
-// a fingerprint of its replicated arguments at an extra rendezvous before
-// running, so a divergent collective schedule aborts the world with a
-// two-rank report instead of deadlocking or corrupting replicated state.
+// Each entry point carries exactly one instrumentation statement, its
+// CollectiveScope declaration; the scope's comment below is the contract.
 
 #include <algorithm>
 #include <cstdint>
@@ -36,7 +21,6 @@
 #include "comm/context.hpp"
 #include "comm/schedule_check.hpp"
 #include "common/contracts.hpp"
-#include "common/stats.hpp"
 #include "fault/fault.hpp"
 #include "metrics/metrics.hpp"
 #include "prof/trace.hpp"
@@ -44,6 +28,50 @@
 namespace rahooi::comm {
 
 using idx_t = std::int64_t;
+
+/// The one instrumentation site of a Comm entry point, declared after
+/// argument validation. Entry, in order: open the op's prof::TraceSpan;
+/// park the rank for the hang watchdog (with the span path when armed),
+/// record a flight collective_post and run the fault-injection entry hook
+/// (transient faults retried with backoff); start the metrics timer, so the
+/// timed wait excludes injected entry delays; on more than one rank, run
+/// the schedule sanitizer on the call's replicated fingerprint
+/// (docs/STATIC_ANALYSIS.md; point-to-point ops are not fingerprinted).
+/// A normal exit charges `bytes` (this rank's volume under the standard
+/// large-message algorithm: ring allgather, recursive-halving
+/// reduce-scatter, Rabenseifner allreduce, binomial bcast/reduce; what the
+/// Table 2 reproduction measures) to Stats (per kind and active phase), the
+/// metrics registry and a flight collective_complete. Nothing is charged
+/// while unwinding, by barrier/recv/split, or on one rank by the ops that
+/// return there before any rendezvous (all but alltoallv and send). The
+/// rank is unparked on every exit but a throwing fault hook.
+class CollectiveScope {
+ public:
+  /// `dtype`, `root` and `sched_bytes` complete the op's schedule
+  /// fingerprint; `bytes` is what a normal exit charges.
+  CollectiveScope(CollectiveOp op, Context* ctx, int comm_rank,
+                  std::uint32_t dtype = 0, int root = -1,
+                  std::uint64_t sched_bytes = 0, double bytes = 0.0);
+  ~CollectiveScope();
+
+  CollectiveScope(const CollectiveScope&) = delete;
+  CollectiveScope& operator=(const CollectiveScope&) = delete;
+
+  /// World rank for fault-site matching (the communicator rank when the
+  /// thread is not bound to a Runtime world).
+  int world_rank() const { return world_rank_; }
+
+ private:
+  CollectiveOp op_;
+  prof::TraceSpan span_;
+  Monitor* mon_;  ///< park registry, nullptr when none
+  int world_rank_;
+  bool charged_ = false;  ///< a normal exit charges the ledgers
+  int uncaught_ = 0;      ///< std::uncaught_exceptions() at entry
+  metrics::Registry* reg_ = nullptr;
+  double t0_ = 0.0;
+  double bytes_;
+};
 
 class Comm {
  public:
@@ -56,9 +84,7 @@ class Comm {
   bool valid() const { return ctx_ != nullptr; }
 
   void barrier() const {
-    prof::TraceSpan span("barrier");
-    CollectiveGuard guard(ctx_.get(), rank_, "barrier");
-    ctx_->schedule_check(rank_, SchedFingerprint{SchedOp::barrier, 0, -1, 0});
+    const CollectiveScope scope(CollectiveOp::barrier, ctx_.get(), rank_);
     ctx_->barrier_wait();
   }
 
@@ -73,14 +99,10 @@ class Comm {
   /// Root's buffer is copied to every rank.
   template <typename T>
   void bcast(T* data, idx_t n, int root) const {
-    prof::TraceSpan span("bcast");
-    CollectiveGuard guard(ctx_.get(), rank_, "bcast");
-    metrics::CollectiveTimer mtimer;
     RAHOOI_REQUIRE(root >= 0 && root < size(), "bcast: bad root");
+    const CollectiveScope scope =
+        enter<T>(CollectiveOp::bcast, n, bytes_of<T>(n), root);
     if (size() == 1) return;
-    ctx_->schedule_check(
-        rank_, SchedFingerprint{SchedOp::bcast, sched_dtype_tag<T>(), root,
-                                static_cast<std::uint64_t>(n) * sizeof(T)});
     ctx_->post(rank_, SlotEntry{data, data, nullptr, 0});
     ctx_->barrier_wait();
     if (rank_ != root) {
@@ -88,25 +110,19 @@ class Comm {
       std::copy(src, src + n, data);
     }
     ctx_->barrier_wait(Context::BarrierPhase::exit);
-    fault::inject_payload("bcast", guard.world_rank(), data, sizeof(T) * n);
-    stats::add_comm(CollectiveKind::bcast, bytes_of<T>(n));
-    mtimer.record(CollectiveKind::bcast, bytes_of<T>(n));
+    fault::inject_payload("bcast", scope.world_rank(), data, sizeof(T) * n);
   }
 
   /// Element-wise sum of all ranks' `in` arrays lands in `out` on root.
   template <typename T>
   void reduce_sum(const T* in, T* out, idx_t n, int root) const {
-    prof::TraceSpan span("reduce");
-    CollectiveGuard guard(ctx_.get(), rank_, "reduce");
-    metrics::CollectiveTimer mtimer;
     RAHOOI_REQUIRE(root >= 0 && root < size(), "reduce: bad root");
+    const CollectiveScope scope =
+        enter<T>(CollectiveOp::reduce, n, bytes_of<T>(n), root);
     if (size() == 1) {
       if (out != in) std::copy(in, in + n, out);
       return;
     }
-    ctx_->schedule_check(
-        rank_, SchedFingerprint{SchedOp::reduce, sched_dtype_tag<T>(), root,
-                                static_cast<std::uint64_t>(n) * sizeof(T)});
     ctx_->post(rank_, SlotEntry{in, out, nullptr, 0});
     ctx_->barrier_wait();
     if (rank_ == root) {
@@ -118,8 +134,6 @@ class Comm {
       }
     }
     ctx_->barrier_wait(Context::BarrierPhase::exit);
-    stats::add_comm(CollectiveKind::reduce, bytes_of<T>(n));
-    mtimer.record(CollectiveKind::reduce, bytes_of<T>(n));
   }
 
   /// In-place element-wise sum across all ranks; every rank gets the total.
@@ -132,31 +146,11 @@ class Comm {
   /// subsequent collectives.
   template <typename T>
   void allreduce_sum(T* data, idx_t n) const {
-    prof::TraceSpan span("allreduce");
-    CollectiveGuard guard(ctx_.get(), rank_, "allreduce");
-    metrics::CollectiveTimer mtimer;
-    if (size() == 1) return;
-    ctx_->schedule_check(
-        rank_, SchedFingerprint{SchedOp::allreduce, sched_dtype_tag<T>(), -1,
-                                static_cast<std::uint64_t>(n) * sizeof(T)});
-    ctx_->post(rank_, SlotEntry{data, nullptr, nullptr, 0});
-    ctx_->barrier_wait();
-    std::vector<T> acc(static_cast<const T*>(ctx_->slot(0).in),
-                       static_cast<const T*>(ctx_->slot(0).in) + n);
-    for (int r = 1; r < size(); ++r) {
-      const T* src = static_cast<const T*>(ctx_->slot(r).in);
-      for (idx_t i = 0; i < n; ++i) acc[i] += src[i];
-    }
-    ctx_->barrier_wait(Context::BarrierPhase::exit);
-    if (n != 0) std::copy(acc.begin(), acc.end(), data);
-    ctx_->barrier_wait(Context::BarrierPhase::exit);
-    fault::inject_payload("allreduce", guard.world_rank(), data,
-                          sizeof(T) * n);
-    // Rabenseifner: reduce-scatter + allgather, 2n(P-1)/P per rank.
-    stats::add_comm(CollectiveKind::allreduce,
-                    2.0 * bytes_of<T>(n) * (size() - 1) / size());
-    mtimer.record(CollectiveKind::allreduce,
-                  2.0 * bytes_of<T>(n) * (size() - 1) / size());
+    allreduce(CollectiveOp::allreduce, data, n,
+              [](T acc, T v) {
+                acc += v;
+                return acc;
+              });
   }
 
   /// Convenience scalar allreduce.
@@ -172,30 +166,8 @@ class Comm {
   /// scale (dist/sketch.cpp) before an integer allreduce.
   template <typename T>
   void allreduce_max(T* data, idx_t n) const {
-    prof::TraceSpan span("allreduce");
-    CollectiveGuard guard(ctx_.get(), rank_, "allreduce");
-    metrics::CollectiveTimer mtimer;
-    if (size() == 1) return;
-    ctx_->schedule_check(
-        rank_,
-        SchedFingerprint{SchedOp::allreduce_max, sched_dtype_tag<T>(), -1,
-                         static_cast<std::uint64_t>(n) * sizeof(T)});
-    ctx_->post(rank_, SlotEntry{data, nullptr, nullptr, 0});
-    ctx_->barrier_wait();
-    std::vector<T> acc(static_cast<const T*>(ctx_->slot(0).in),
-                       static_cast<const T*>(ctx_->slot(0).in) + n);
-    for (int r = 1; r < size(); ++r) {
-      const T* src = static_cast<const T*>(ctx_->slot(r).in);
-      for (idx_t i = 0; i < n; ++i) acc[i] = std::max(acc[i], src[i]);
-    }
-    ctx_->barrier_wait(Context::BarrierPhase::exit);
-    if (n != 0) std::copy(acc.begin(), acc.end(), data);
-    ctx_->barrier_wait(Context::BarrierPhase::exit);
-    // Rabenseifner: reduce-scatter + allgather, 2n(P-1)/P per rank.
-    stats::add_comm(CollectiveKind::allreduce,
-                    2.0 * bytes_of<T>(n) * (size() - 1) / size());
-    mtimer.record(CollectiveKind::allreduce,
-                  2.0 * bytes_of<T>(n) * (size() - 1) / size());
+    allreduce(CollectiveOp::allreduce_max, data, n,
+              [](T acc, T v) { return std::max(acc, v); });
   }
 
   /// Sums all ranks' full-length `in` arrays (length = sum of counts), then
@@ -204,13 +176,15 @@ class Comm {
   template <typename T>
   void reduce_scatter_sum(const T* in, T* out,
                           const std::vector<idx_t>& counts) const {
-    prof::TraceSpan span("reduce_scatter");
-    CollectiveGuard guard(ctx_.get(), rank_, "reduce_scatter");
-    metrics::CollectiveTimer mtimer;
     RAHOOI_REQUIRE(static_cast<int>(counts.size()) == size(),
                    "reduce_scatter: counts size != communicator size");
+    // `counts` is replicated, so the total is part of the schedule contract.
+    // Recursive halving: n(P-1)/P per rank on the full input length.
     const idx_t total = std::accumulate(counts.begin(), counts.end(),
                                         idx_t{0});
+    const CollectiveScope scope =
+        enter<T>(CollectiveOp::reduce_scatter, total,
+                 bytes_of<T>(total) * (size() - 1) / size());
     idx_t offset = 0;
     for (int r = 0; r < rank_; ++r) offset += counts[r];
     const idx_t mine = counts[rank_];
@@ -218,12 +192,6 @@ class Comm {
       std::copy(in, in + mine, out);
       return;
     }
-    // `counts` must be replicated, so the total byte count is part of the
-    // schedule contract.
-    ctx_->schedule_check(
-        rank_,
-        SchedFingerprint{SchedOp::reduce_scatter, sched_dtype_tag<T>(), -1,
-                         static_cast<std::uint64_t>(total) * sizeof(T)});
     ctx_->post(rank_, SlotEntry{in, nullptr, nullptr, 0});
     ctx_->barrier_wait();
     std::fill(out, out + mine, T{});
@@ -232,11 +200,6 @@ class Comm {
       for (idx_t i = 0; i < mine; ++i) out[i] += src[i];
     }
     ctx_->barrier_wait(Context::BarrierPhase::exit);
-    // Recursive halving: n(P-1)/P per rank on the full input length.
-    stats::add_comm(CollectiveKind::reduce_scatter,
-                    bytes_of<T>(total) * (size() - 1) / size());
-    mtimer.record(CollectiveKind::reduce_scatter,
-                  bytes_of<T>(total) * (size() - 1) / size());
   }
 
   /// Concatenates all ranks' `in` arrays (rank r contributes counts[r]
@@ -244,37 +207,27 @@ class Comm {
   /// identical on all ranks.
   template <typename T>
   void allgatherv(const T* in, T* out, const std::vector<idx_t>& counts) const {
-    prof::TraceSpan span("allgatherv");
-    CollectiveGuard guard(ctx_.get(), rank_, "allgather");
-    metrics::CollectiveTimer mtimer;
     RAHOOI_REQUIRE(static_cast<int>(counts.size()) == size(),
                    "allgatherv: counts size != communicator size");
+    // Ring: each rank receives everyone else's contribution.
+    const idx_t total =
+        std::accumulate(counts.begin(), counts.end(), idx_t{0});
+    const CollectiveScope scope =
+        enter<T>(CollectiveOp::allgatherv, total,
+                 bytes_of<T>(total - counts[rank_]));
     if (size() == 1) {
       std::copy(in, in + counts[0], out);
       return;
     }
-    {
-      const idx_t total =
-          std::accumulate(counts.begin(), counts.end(), idx_t{0});
-      ctx_->schedule_check(
-          rank_,
-          SchedFingerprint{SchedOp::allgatherv, sched_dtype_tag<T>(), -1,
-                           static_cast<std::uint64_t>(total) * sizeof(T)});
-    }
     ctx_->post(rank_, SlotEntry{in, nullptr, nullptr, 0});
     ctx_->barrier_wait();
     idx_t offset = 0;
-    idx_t received = 0;
     for (int r = 0; r < size(); ++r) {
       const T* src = static_cast<const T*>(ctx_->slot(r).in);
       std::copy(src, src + counts[r], out + offset);
       offset += counts[r];
-      if (r != rank_) received += counts[r];
     }
     ctx_->barrier_wait(Context::BarrierPhase::exit);
-    // Ring: each rank receives everyone else's contribution.
-    stats::add_comm(CollectiveKind::allgather, bytes_of<T>(received));
-    mtimer.record(CollectiveKind::allgather, bytes_of<T>(received));
   }
 
   /// Equal-count allgather convenience: every rank contributes n elements.
@@ -290,47 +243,40 @@ class Comm {
   void alltoallv(const T* in, const std::vector<idx_t>& sdispls, T* out,
                  const std::vector<idx_t>& recvcounts,
                  const std::vector<idx_t>& rdispls) const {
-    prof::TraceSpan span("alltoallv");
-    CollectiveGuard guard(ctx_.get(), rank_, "alltoall");
-    metrics::CollectiveTimer mtimer;
     RAHOOI_REQUIRE(static_cast<int>(sdispls.size()) == size() &&
                        static_cast<int>(recvcounts.size()) == size() &&
                        static_cast<int>(rdispls.size()) == size(),
                    "alltoallv: argument arrays must have one entry per rank");
     // Per-rank counts may legitimately differ across ranks, so only the op
-    // kind and dtype are part of the replicated schedule contract.
-    ctx_->schedule_check(rank_, SchedFingerprint{SchedOp::alltoallv,
-                                                 sched_dtype_tag<T>(), -1, 0});
+    // kind and dtype are part of the replicated schedule contract. Charged:
+    // what this rank receives from the other ranks.
+    const idx_t off_rank = std::accumulate(recvcounts.begin(), recvcounts.end(),
+                                           idx_t{0}) - recvcounts[rank_];
+    const CollectiveScope scope =
+        enter<T>(CollectiveOp::alltoallv, 0, bytes_of<T>(off_rank));
     ctx_->post(rank_, SlotEntry{in, nullptr, sdispls.data(), 0});
     ctx_->barrier_wait();
-    double off_rank_bytes = 0.0;
     for (int s = 0; s < size(); ++s) {
       const auto& peer = ctx_->slot(s);
       const T* src =
           static_cast<const T*>(peer.in) + peer.meta[rank_];
       std::copy(src, src + recvcounts[s], out + rdispls[s]);
-      if (s != rank_) off_rank_bytes += bytes_of<T>(recvcounts[s]);
     }
     ctx_->barrier_wait(Context::BarrierPhase::exit);
-    stats::add_comm(CollectiveKind::alltoall, off_rank_bytes);
-    mtimer.record(CollectiveKind::alltoall, off_rank_bytes);
   }
 
   /// Blocking tagged point-to-point.
   template <typename T>
   void send(const T* data, idx_t n, int dest, int tag) const {
-    prof::TraceSpan span("send");
-    CollectiveGuard guard(ctx_.get(), rank_, "send");
-    metrics::CollectiveTimer mtimer;
+    const CollectiveScope scope =
+        enter<T>(CollectiveOp::send, 0, bytes_of<T>(n));
     ctx_->send_bytes(dest, rank_, tag, data, sizeof(T) * n);
-    stats::add_comm(CollectiveKind::point_to_point, bytes_of<T>(n));
-    mtimer.record(CollectiveKind::point_to_point, bytes_of<T>(n));
   }
 
+  /// The receiver is not charged: send already counts the message.
   template <typename T>
   void recv(T* data, idx_t n, int source, int tag) const {
-    prof::TraceSpan span("recv");
-    CollectiveGuard guard(ctx_.get(), rank_, "recv");
+    const CollectiveScope scope(CollectiveOp::recv, ctx_.get(), rank_);
     ctx_->recv_bytes(rank_, source, tag, data, sizeof(T) * n);
   }
 
@@ -342,6 +288,41 @@ class Comm {
   template <typename T>
   static double bytes_of(idx_t n) {
     return static_cast<double>(n) * sizeof(T);
+  }
+
+  /// Opens `op`'s scope for a call whose replicated payload is `sched_n`
+  /// elements of T and whose normal exit charges `bytes`.
+  template <typename T>
+  CollectiveScope enter(CollectiveOp op, idx_t sched_n, double bytes,
+                        int root = -1) const {
+    return CollectiveScope(op, ctx_.get(), rank_, sched_dtype_tag<T>(), root,
+                           static_cast<std::uint64_t>(sched_n) * sizeof(T),
+                           bytes);
+  }
+
+  /// allreduce_sum / allreduce_max: every rank folds all ranks' arrays in
+  /// rank order with `combine`, so every rank holds the identical result.
+  template <typename T, typename Combine>
+  void allreduce(CollectiveOp op, T* data, idx_t n, Combine combine) const {
+    // Rabenseifner: reduce-scatter + allgather, 2n(P-1)/P per rank.
+    const CollectiveScope scope =
+        enter<T>(op, n, 2.0 * bytes_of<T>(n) * (size() - 1) / size());
+    if (size() == 1) return;
+    ctx_->post(rank_, SlotEntry{data, nullptr, nullptr, 0});
+    ctx_->barrier_wait();
+    std::vector<T> acc(static_cast<const T*>(ctx_->slot(0).in),
+                       static_cast<const T*>(ctx_->slot(0).in) + n);
+    for (int r = 1; r < size(); ++r) {
+      const T* src = static_cast<const T*>(ctx_->slot(r).in);
+      for (idx_t i = 0; i < n; ++i) acc[i] = combine(acc[i], src[i]);
+    }
+    ctx_->barrier_wait(Context::BarrierPhase::exit);
+    if (n != 0) std::copy(acc.begin(), acc.end(), data);
+    ctx_->barrier_wait(Context::BarrierPhase::exit);
+    if (op == CollectiveOp::allreduce) {
+      fault::inject_payload("allreduce", scope.world_rank(), data,
+                            sizeof(T) * n);
+    }
   }
 
   std::shared_ptr<Context> ctx_;

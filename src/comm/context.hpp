@@ -99,11 +99,11 @@ class Context {
   /// monitor after raising the abort flag).
   void wake_all();
 
-  /// Collective-schedule sanitizer entry, called by every Comm collective
-  /// before its own first rendezvous. Disabled fast path (the default) is a
-  /// single relaxed atomic load; enabled, it runs the fingerprint
-  /// cross-validation rendezvous of schedule_check.hpp and throws
-  /// ScheduleDivergenceError on divergence.
+  /// Collective-schedule sanitizer entry, called by every Comm collective's
+  /// CollectiveScope before its first rendezvous. Disabled fast path (the
+  /// default) is a single relaxed atomic load; enabled, it runs the
+  /// fingerprint cross-validation rendezvous of schedule_check.hpp and
+  /// throws ScheduleDivergenceError on divergence.
   void schedule_check(int rank, const SchedFingerprint& fp) {
     if (size_ == 1 || !monitor_->comm_check()) return;
     sched_.check(*this, rank, fp);

@@ -5,8 +5,6 @@
 #include "comm/context.hpp"
 #include "common/contracts.hpp"
 #include "common/stats.hpp"
-#include "fault/fault.hpp"
-#include "prof/trace.hpp"
 
 namespace rahooi::comm {
 
@@ -41,16 +39,6 @@ bool Monitor::raise_abort(int origin_rank, const std::string& what) {
   }
   wake_all();
   return true;
-}
-
-int Monitor::abort_origin() const {
-  std::lock_guard lock(mutex_);
-  return origin_rank_;
-}
-
-std::string Monitor::abort_what() const {
-  std::lock_guard lock(mutex_);
-  return what_;
 }
 
 void Monitor::throw_aborted() const {
@@ -152,32 +140,5 @@ ScopedRankBinding::~ScopedRankBinding() {
 Monitor* bound_monitor() { return tls_monitor; }
 
 int bound_world_rank() { return tls_world_rank; }
-
-CollectiveGuard::CollectiveGuard(const Context* ctx, int comm_rank,
-                                 const char* op) {
-  world_rank_ = tls_world_rank >= 0 ? tls_world_rank : comm_rank;
-  mon_ = tls_monitor != nullptr
-             ? tls_monitor
-             : (ctx != nullptr ? ctx->monitor().get() : nullptr);
-  if (mon_ != nullptr) {
-    // Copy the prof span path only when the watchdog is armed: that is the
-    // only consumer, and the copy allocates.
-    std::string path;
-    if (mon_->timeout() > 0.0) {
-      if (const prof::Recorder* rec = prof::recorder()) {
-        path = std::string(rec->current_path());
-      }
-    }
-    mon_->park(world_rank_, op, std::move(path));
-  }
-  if (obs::FlightRecorder* fr = obs::flight_recorder()) {
-    fr->record(obs::RecordKind::collective_post, op);
-  }
-  fault::with_retry([&] { fault::inject_point(op, world_rank_); });
-}
-
-CollectiveGuard::~CollectiveGuard() {
-  if (mon_ != nullptr) mon_->unpark(world_rank_);
-}
 
 }  // namespace rahooi::comm

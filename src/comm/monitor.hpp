@@ -62,8 +62,6 @@ class Monitor {
   bool raise_abort(int origin_rank, const std::string& what);
 
   bool aborted() const { return aborted_.load(std::memory_order_acquire); }
-  int abort_origin() const;
-  std::string abort_what() const;
 
   /// Throws AbortedError carrying the recorded origin. Pre: aborted().
   [[noreturn]] void throw_aborted() const;
@@ -141,7 +139,7 @@ class Monitor {
 
 /// Binds the calling thread to its (monitor, world rank) for the lifetime of
 /// the scope — installed by Runtime::run on each rank thread, read by
-/// CollectiveGuard for park-registry bookkeeping and fault-site matching.
+/// CollectiveScope for park-registry bookkeeping and fault-site matching.
 class ScopedRankBinding {
  public:
   ScopedRankBinding(Monitor& monitor, int world_rank);
@@ -162,28 +160,5 @@ inline int fault_rank(int comm_rank) {
   const int bound = bound_world_rank();
   return bound >= 0 ? bound : comm_rank;
 }
-
-/// RAII entry guard every Comm collective opens before its first rendezvous:
-/// registers the rank in the park registry (with the prof span path when a
-/// Recorder is installed and the watchdog is armed) and runs the
-/// fault-injection entry hook — transient injected CommErrors are retried
-/// here with bounded exponential backoff; exhaustion lets the CommError
-/// propagate and kill the rank.
-class CollectiveGuard {
- public:
-  CollectiveGuard(const Context* ctx, int comm_rank, const char* op);
-  ~CollectiveGuard();
-
-  CollectiveGuard(const CollectiveGuard&) = delete;
-  CollectiveGuard& operator=(const CollectiveGuard&) = delete;
-
-  /// World rank used for fault matching (falls back to the communicator
-  /// rank when the thread is not bound to a Runtime world).
-  int world_rank() const { return world_rank_; }
-
- private:
-  Monitor* mon_ = nullptr;
-  int world_rank_ = -1;
-};
 
 }  // namespace rahooi::comm

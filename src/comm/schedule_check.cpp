@@ -41,17 +41,19 @@ std::string hex(std::uint64_t v) {
 
 }  // namespace
 
-const char* sched_op_name(SchedOp op) {
+const char* collective_op_name(CollectiveOp op) {
   switch (op) {
-    case SchedOp::barrier: return "barrier";
-    case SchedOp::bcast: return "bcast";
-    case SchedOp::reduce: return "reduce";
-    case SchedOp::allreduce: return "allreduce";
-    case SchedOp::allreduce_max: return "allreduce_max";
-    case SchedOp::reduce_scatter: return "reduce_scatter";
-    case SchedOp::allgatherv: return "allgatherv";
-    case SchedOp::alltoallv: return "alltoallv";
-    case SchedOp::split: return "split";
+    case CollectiveOp::barrier: return "barrier";
+    case CollectiveOp::bcast: return "bcast";
+    case CollectiveOp::reduce: return "reduce";
+    case CollectiveOp::allreduce: return "allreduce";
+    case CollectiveOp::allreduce_max: return "allreduce_max";
+    case CollectiveOp::reduce_scatter: return "reduce_scatter";
+    case CollectiveOp::allgatherv: return "allgatherv";
+    case CollectiveOp::alltoallv: return "alltoallv";
+    case CollectiveOp::split: return "split";
+    case CollectiveOp::send: return "send";
+    case CollectiveOp::recv: return "recv";
   }
   return "?";
 }
@@ -77,7 +79,7 @@ std::string ScheduleChecker::divergence_report(int rank_a, int rank_b) const {
     if (s.world_rank >= 0 && s.world_rank != r) {
       os << " (world rank " << s.world_rank << ")";
     }
-    os << ": call #" << s.calls << " " << sched_op_name(s.fp.op)
+    os << ": call #" << s.calls << " " << collective_op_name(s.fp.op)
        << "(dtype=" << sched_dtype_name(s.fp.dtype);
     if (s.fp.root >= 0) os << ", root=" << s.fp.root;
     if (s.fp.bytes > 0) os << ", bytes=" << s.fp.bytes;

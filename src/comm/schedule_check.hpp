@@ -31,10 +31,12 @@ namespace rahooi::comm {
 
 class Context;
 
-/// Collective entry points the sanitizer distinguishes. Tagged point-to-point
-/// send/recv are deliberately not fingerprinted: they involve only two ranks,
-/// so a communicator-wide rendezvous on them would itself deadlock.
-enum class SchedOp : std::uint8_t {
+/// Comm entry points. Each has one row in the site table (comm.cpp), the
+/// only place its span, fault-site and byte-accounting names are spelled.
+/// The value order feeds the schedule hash. Tagged point-to-point send/recv
+/// come last and are deliberately not fingerprinted: they involve only two
+/// ranks, so a communicator-wide rendezvous on them would itself deadlock.
+enum class CollectiveOp : std::uint8_t {
   barrier,
   bcast,
   reduce,
@@ -44,9 +46,11 @@ enum class SchedOp : std::uint8_t {
   allgatherv,
   alltoallv,
   split,
+  send,
+  recv,
 };
 
-const char* sched_op_name(SchedOp op);
+const char* collective_op_name(CollectiveOp op);
 
 /// Packed element-type tag: size byte plus float/signed flags. The same T
 /// yields the same tag on every rank; distinct fundamental types used by the
@@ -66,7 +70,7 @@ std::string sched_dtype_name(std::uint32_t tag);
 /// may legitimately differ across ranks (alltoallv per-rank counts, split
 /// colors/keys) are excluded — zero means "not part of this op's contract".
 struct SchedFingerprint {
-  SchedOp op = SchedOp::barrier;
+  CollectiveOp op = CollectiveOp::barrier;
   std::uint32_t dtype = 0;   ///< sched_dtype_tag<T>(), 0 when no payload
   std::int32_t root = -1;    ///< root rank, -1 when the op has none
   std::uint64_t bytes = 0;   ///< replicated payload bytes, 0 otherwise

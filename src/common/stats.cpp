@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <numeric>
-#include <vector>
 
 namespace rahooi {
 
@@ -10,11 +9,6 @@ namespace {
 
 thread_local Stats* tls_stats = nullptr;
 thread_local Phase tls_phase = Phase::other;
-
-// Open phase-timing frames on this thread; each entry is the wall time
-// consumed by *nested* frames, subtracted on pop so attribution is
-// innermost-wins (see PhaseTimer's class comment).
-thread_local std::vector<double> tls_phase_frames;
 
 }  // namespace
 
@@ -85,26 +79,9 @@ void Stats::reset() { *this = Stats{}; }
 ScopedStats::ScopedStats(Stats& s) : prev_(tls_stats) { tls_stats = &s; }
 ScopedStats::~ScopedStats() { tls_stats = prev_; }
 
-PhaseScope::PhaseScope(Phase p) : prev_(tls_phase) { tls_phase = p; }
-PhaseScope::~PhaseScope() { tls_phase = prev_; }
-
-PhaseTimer::PhaseTimer(Phase p) : scope_(p), phase_(p) {
-  stats::phase_frame_push();
-  start_ = stats::now();
-}
-
-PhaseTimer::~PhaseTimer() {
-  const double self = stats::phase_frame_pop(stats::now() - start_);
-  if (Stats* s = stats::current()) {
-    s->seconds[static_cast<int>(phase_)] += self;
-  }
-}
-
 namespace stats {
 
 Stats* current() { return tls_stats; }
-
-Phase current_phase() { return tls_phase; }
 
 void add_flops(double n) {
   if (tls_stats != nullptr) {
@@ -128,18 +105,6 @@ double now() {
   static_assert(clock::is_steady, "timing must use a monotonic clock");
   return std::chrono::duration<double>(clock::now().time_since_epoch())
       .count();
-}
-
-void phase_frame_push() { tls_phase_frames.push_back(0.0); }
-
-double phase_frame_pop(double dur) {
-  double nested = 0.0;
-  if (!tls_phase_frames.empty()) {
-    nested = tls_phase_frames.back();
-    tls_phase_frames.pop_back();
-  }
-  if (!tls_phase_frames.empty()) tls_phase_frames.back() += dur;
-  return dur > nested ? dur - nested : 0.0;
 }
 
 Phase swap_phase(Phase p) {

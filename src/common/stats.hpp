@@ -74,7 +74,8 @@ struct Stats {
   /// model).
   std::array<std::uint64_t, kCollectiveCount> messages{};
 
-  /// Wall seconds attributed per phase (filled by PhaseTimer scopes).
+  /// Wall seconds attributed per phase (filled by phase-tagged
+  /// prof::TraceSpan regions, innermost-wins).
   std::array<double, kPhaseCount> seconds{};
 
   double total_flops() const;
@@ -107,49 +108,10 @@ class ScopedStats {
   Stats* prev_;
 };
 
-/// Sets the phase that subsequent kernel flops/bytes on this thread are
-/// attributed to, restoring the previous phase on destruction.
-class PhaseScope {
- public:
-  explicit PhaseScope(Phase p);
-  ~PhaseScope();
-
-  PhaseScope(const PhaseScope&) = delete;
-  PhaseScope& operator=(const PhaseScope&) = delete;
-
- private:
-  Phase prev_;
-};
-
-/// Accumulates wall time into the current Stats' per-phase seconds and sets
-/// the attribution phase, i.e. PhaseScope plus timing.
-///
-/// Attribution is *innermost-wins*: when phase-timed scopes nest (e.g. an
-/// EVD timer inside a Gram timer, or prof::TraceSpan regions that carry a
-/// Phase tag), each scope contributes its duration minus the time spent in
-/// nested phase-timed scopes, so summing Stats::seconds never double-counts
-/// and the total equals the outermost scope's wall time.
-class PhaseTimer {
- public:
-  explicit PhaseTimer(Phase p);
-  ~PhaseTimer();
-
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
- private:
-  PhaseScope scope_;
-  Phase phase_;
-  double start_;
-};
-
 namespace stats {
 
 /// The current thread's collection target, or nullptr.
 Stats* current();
-
-/// Currently active attribution phase for this thread.
-Phase current_phase();
 
 /// Record `n` flops against the active phase (no-op when untracked).
 void add_flops(double n);
@@ -158,23 +120,15 @@ void add_flops(double n);
 void add_comm(CollectiveKind k, double bytes);
 
 /// Monotonic clock in seconds (shared by all timing in the library —
-/// Stopwatch, PhaseTimer, prof::TraceSpan). Backed by steady_clock, so
-/// elapsed times can never go negative under wall-clock adjustment, and
-/// the epoch is process-wide: timestamps taken on different rank threads
-/// are directly comparable (the Chrome-trace lanes rely on this).
+/// Stopwatch, prof::TraceSpan, comm::CollectiveScope). Backed by
+/// steady_clock, so elapsed times can never go negative under wall-clock
+/// adjustment, and the epoch is process-wide: timestamps taken on different
+/// rank threads are directly comparable (the Chrome-trace lanes rely on
+/// this).
 double now();
 
-/// Internal plumbing for innermost-wins phase-time attribution, shared by
-/// PhaseTimer and phase-tagged prof::TraceSpan. phase_frame_push() opens a
-/// timing frame on this thread; phase_frame_pop(dur) closes it, charges
-/// `dur` to the parent frame, and returns the frame's self time (`dur`
-/// minus time consumed by nested frames, clamped at 0).
-void phase_frame_push();
-double phase_frame_pop(double dur);
-
-/// Sets this thread's attribution phase, returning the previous one
-/// (the non-RAII primitive under PhaseScope; prof::TraceSpan uses it to
-/// avoid holding an optional scope).
+/// Sets this thread's attribution phase, returning the previous one.
+/// Phase-tagged prof::TraceSpan regions are the scoped way to set it.
 Phase swap_phase(Phase p);
 
 }  // namespace stats

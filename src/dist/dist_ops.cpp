@@ -231,10 +231,10 @@ la::Matrix<T> dist_mode_tsqr_r(const DistTensor<T>& x, int mode) {
   std::vector<idx_t> counts(p);
   const idx_t mine = local.rows() * n;
   {
-    std::vector<idx_t> rows(p);
+    std::vector<idx_t> peer_rows(p);
     idx_t my_rows = local.rows();
-    world.allgather(&my_rows, rows.data(), 1);
-    for (int r = 0; r < p; ++r) counts[r] = rows[r] * n;
+    world.allgather(&my_rows, peer_rows.data(), 1);
+    for (int r = 0; r < p; ++r) counts[r] = peer_rows[r] * n;
   }
   idx_t total_rows = 0;
   for (int r = 0; r < p; ++r) total_rows += counts[r] / n;

@@ -8,8 +8,8 @@
 // installed with ScopedRegistry exactly like prof::ScopedRecorder; every
 // instrument site starts with one thread-local load (`registry()`) and a
 // branch, so the metrics-off cost is a single relaxed load per site
-// (guarded <1% by bench_metrics_guard). A Registry is only ever mutated by
-// its own rank thread — no locks anywhere on the hot path.
+// (guarded <1% by `bench_overhead_guard metrics_guard`). A Registry is only
+// ever mutated by its own rank thread — no locks anywhere on the hot path.
 
 #include <array>
 #include <cstddef>
@@ -411,34 +411,6 @@ class ScopedBytes {
 
  private:
   TrackedBytes tag_;
-};
-
-// ---------------------------------------------------------------------------
-// Collective timing helper
-// ---------------------------------------------------------------------------
-
-/// Captures the registry pointer and a start timestamp at collective entry;
-/// record() files the call under `kind`. When metrics are off the
-/// constructor is one thread-local load and a branch — no clock read.
-class CollectiveTimer {
- public:
-  CollectiveTimer() : reg_(registry()), t0_(reg_ ? stats::now() : 0.0) {}
-
-  void record(CollectiveKind kind, double bytes) const {
-    // Collective-complete edge for the flight recorder (the matching post
-    // edge is recorded by CollectiveGuard): carries the payload bytes.
-    if (obs::FlightRecorder* fr = obs::flight_recorder()) {
-      fr->record(obs::RecordKind::collective_complete, collective_name(kind),
-                 bytes);
-    }
-    if (reg_ != nullptr) {
-      reg_->record_collective(kind, bytes, stats::now() - t0_);
-    }
-  }
-
- private:
-  Registry* reg_;
-  double t0_;
 };
 
 }  // namespace rahooi::metrics

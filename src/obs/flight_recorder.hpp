@@ -12,12 +12,12 @@
 // doing in its last N events" without any tracing switched on. The watchdog
 // park report renders the same rings live.
 //
-// Cost contract (bench_obs_guard, ctest `obs-smoke`): like the metrics
-// registry, every instrument site starts with one thread-local load and a
-// branch (`flight_recorder() == nullptr`), and a recording is one fetch_add,
-// one uncontended slot-claim CAS, and a fixed number of relaxed word stores —
-// no locks, no allocation, <1% on the solver hot path with the recorder
-// installed.
+// Cost contract (`bench_overhead_guard obs_guard`, ctest `obs-smoke`): like
+// the metrics registry, every instrument site starts with one thread-local
+// load and a branch (`flight_recorder() == nullptr`), and a recording is one
+// fetch_add, one uncontended slot-claim CAS, and a fixed number of relaxed
+// word stores — no locks, no allocation, <1% on the solver hot path with the
+// recorder installed.
 //
 // Trace context: a per-job trace id minted by serve::Scheduler rides
 // comm::RunOptions::trace_id into the world; Runtime::run installs it on
@@ -38,7 +38,7 @@ namespace rahooi::obs {
 enum class RecordKind : int {
   span_begin = 0,       ///< prof::TraceSpan opened (profiled runs only)
   span_end,             ///< prof::TraceSpan closed
-  collective_post,      ///< rank entered a collective (CollectiveGuard)
+  collective_post,      ///< rank entered a collective (CollectiveScope)
   collective_complete,  ///< collective finished on this rank (with bytes)
   fault_hit,            ///< a fault-injection rule fired at this site
   checkpoint,           ///< a checkpoint write (or restore) completed
@@ -157,7 +157,7 @@ class ScopedFlightRecorder {
  public:
   explicit ScopedFlightRecorder(FlightRecorder& r);
   /// Pointer form: `r == nullptr` suppresses recording for the scope — the
-  /// off-leg of the bench_obs_guard overhead comparison inside a world
+  /// off-leg of the obs_guard overhead comparison inside a world
   /// (where Runtime::run always installs a recorder).
   explicit ScopedFlightRecorder(FlightRecorder* r);
   ~ScopedFlightRecorder();

@@ -1,6 +1,7 @@
 #include "prof/trace.hpp"
 
 #include <numeric>
+#include <vector>
 
 #include "common/contracts.hpp"
 #include "obs/flight_recorder.hpp"
@@ -10,6 +11,10 @@ namespace rahooi::prof {
 namespace {
 
 thread_local Recorder* tls_recorder = nullptr;
+
+// One entry per open phase-tagged span on this thread: the wall time of the
+// tagged spans nested in it, subtracted on close (innermost-wins).
+thread_local std::vector<double> tls_phase_frames;
 
 }  // namespace
 
@@ -81,7 +86,7 @@ TraceSpan::TraceSpan(std::string_view name, std::int64_t index, int phase)
   if (rec_ == nullptr && phase_ < 0) return;  // tracing fully disabled
   if (phase_ >= 0) {
     prev_phase_ = stats::swap_phase(static_cast<Phase>(phase_));
-    stats::phase_frame_push();
+    tls_phase_frames.push_back(0.0);
   }
   if (rec_ != nullptr) {
     rec_->open(name, index);
@@ -100,7 +105,10 @@ TraceSpan::~TraceSpan() {
   const double seconds = stats::now() - start_;
   double self_seconds = 0.0;
   if (phase_ >= 0) {
-    self_seconds = stats::phase_frame_pop(seconds);
+    const double nested = tls_phase_frames.back();
+    tls_phase_frames.pop_back();
+    if (!tls_phase_frames.empty()) tls_phase_frames.back() += seconds;
+    self_seconds = seconds > nested ? seconds - nested : 0.0;
     if (Stats* s = stats::current()) s->seconds[phase_] += self_seconds;
     stats::swap_phase(prev_phase_);
   }

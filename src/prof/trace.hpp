@@ -19,8 +19,8 @@
 //   * untagged spans (comm collectives, dist kernels) reduce to one
 //     thread-local load and a branch — no clock read, no allocation;
 //   * phase-tagged spans additionally keep the Stats per-phase seconds
-//     attribution working (they subsume the old PhaseTimer), which costs
-//     two clock reads, exactly what PhaseTimer cost before.
+//     attribution working, which costs two clock reads. They are the only
+//     phase-timing site in the library.
 
 #include <array>
 #include <cstdint>
@@ -132,7 +132,7 @@ class ScopedRecorder {
 /// RAII trace region. Optional `index` renders as "name[index]" in the
 /// path (per-mode / per-iteration spans); optional Phase tag makes the span
 /// also drive the Stats phase attribution (flops, bytes, and per-phase
-/// seconds), replacing PhaseScope+PhaseTimer at the tagged sites.
+/// seconds, innermost-wins), with or without a Recorder installed.
 class TraceSpan {
  public:
   explicit TraceSpan(std::string_view name) : TraceSpan(name, -1, -1) {}

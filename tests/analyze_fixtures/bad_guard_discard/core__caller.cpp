@@ -2,9 +2,9 @@
 // region to a single statement. Exactly one guard-discard finding fires at
 // the discarded call below.
 namespace rahooi {
-namespace comm { struct CollectiveGuard; }
+namespace comm { struct CollectiveScope; }
 
-comm::CollectiveGuard hold_collective(int token);
+comm::CollectiveScope hold_collective(int token);
 
 void enter_epoch(int token) {
   hold_collective(token);

@@ -3,13 +3,13 @@
 // floor.
 namespace rahooi {
 namespace comm {
-struct CollectiveGuard {
-  explicit CollectiveGuard(int token);
+struct CollectiveScope {
+  explicit CollectiveScope(int token);
 };
 }  // namespace comm
 
-comm::CollectiveGuard hold_collective(int token) {
-  return comm::CollectiveGuard(token);
+comm::CollectiveScope hold_collective(int token) {
+  return comm::CollectiveScope(token);
 }
 
 }  // namespace rahooi

@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <numeric>
+#include <string>
 
 #include "comm/runtime.hpp"
+#include "fault/fault.hpp"
+#include "metrics/metrics.hpp"
+#include "obs/flight_recorder.hpp"
+#include "prof/trace.hpp"
 
 namespace rahooi::comm {
 namespace {
@@ -250,6 +256,310 @@ TEST(Comm, ManySmallCollectivesStressSlotReuse) {
       for (int r = 0; r < 4; ++r) EXPECT_EQ(g[r], r);
     }
   });
+}
+
+
+// ---------------------------------------------------------------------------
+// Cross-ledger collective oracle. Every Comm entry point runs at P=1 and at
+// P=3, with uneven counts and one empty contribution, and each rank's
+// ledgers are checked against what that call must record:
+//   * Stats: bytes and messages per CollectiveKind, and bytes by phase under
+//     a phase-tagged span;
+//   * metrics::Registry: calls, byte sum and timed-call count per kind;
+//   * the flight recorder: one post edge per call (site name) and, for a
+//     charged call, one complete edge (kind name) carrying the bytes;
+//   * prof spans: the call's span name with its byte and message deltas;
+//   * the fault plan: a rule keyed on each site name fires.
+// On one rank the rooted and reducing collectives return before any
+// rendezvous and charge nothing; alltoallv and send have no such shortcut
+// and are charged even there (alltoallv with zero bytes).
+
+/// One collective call as the ledgers must see it on one rank.
+struct LedgerCall {
+  std::string span;      ///< prof span name
+  std::string site;      ///< flight post op and fault site name
+  std::string complete;  ///< flight complete op; "" when the call is uncharged
+  double bytes = 0.0;    ///< bytes charged to the case's kind
+};
+
+struct OracleCase {
+  const char* name;
+  CollectiveKind kind;
+  std::function<void(Comm&)> run;
+  std::function<std::vector<LedgerCall>(int rank, int p)> expect;
+};
+
+LedgerCall uncharged(const char* span, const char* site) {
+  return LedgerCall{span, site, "", 0.0};
+}
+
+/// A call that is charged only on a multi-rank communicator.
+LedgerCall charged_if_multi(int p, const char* span, const char* site,
+                            const char* complete, double bytes) {
+  return p > 1 ? LedgerCall{span, site, complete, bytes}
+               : uncharged(span, site);
+}
+
+/// Uneven counts with an empty middle contribution ({2, 0, 3} at P=3).
+std::vector<idx_t> uneven_counts(int p) {
+  return p == 1 ? std::vector<idx_t>{3} : std::vector<idx_t>{2, 0, 3};
+}
+
+idx_t total_of(const std::vector<idx_t>& v) {
+  return std::accumulate(v.begin(), v.end(), idx_t{0});
+}
+
+/// alltoallv send matrix: rank s sends (s + r) % 3 elements to rank r, so
+/// rank 0 sends nothing to itself and every rank has one empty block.
+idx_t a2a_count(int s, int r) { return (s + r) % 3; }
+
+/// Point-to-point ring: rank s sends p2p_count(s) doubles to (s + 1) % p.
+idx_t p2p_count(int s) { return s == 1 ? 0 : s + 2; }
+
+std::vector<OracleCase> oracle_cases() {
+  std::vector<OracleCase> cases;
+  cases.push_back({"barrier", CollectiveKind::count_,
+                   [](Comm& w) { w.barrier(); },
+                   [](int, int) {
+                     return std::vector{uncharged("barrier", "barrier")};
+                   }});
+  cases.push_back({"bcast", CollectiveKind::bcast,
+                   [](Comm& w) {
+                     std::vector<double> v(5, double(w.rank()));
+                     w.bcast(v.data(), 5, w.size() - 1);
+                   },
+                   [](int, int p) {
+                     return std::vector{charged_if_multi(
+                         p, "bcast", "bcast", "bcast", 5.0 * 8)};
+                   }});
+  cases.push_back({"reduce", CollectiveKind::reduce,
+                   [](Comm& w) {
+                     std::vector<int> in(4, w.rank()), out(4);
+                     w.reduce_sum(in.data(), out.data(), 4, 0);
+                   },
+                   [](int, int p) {
+                     return std::vector{charged_if_multi(
+                         p, "reduce", "reduce", "reduce", 4.0 * 4)};
+                   }});
+  cases.push_back({"allreduce_sum", CollectiveKind::allreduce,
+                   [](Comm& w) {
+                     std::vector<double> v(3, 1.0);
+                     w.allreduce_sum(v.data(), 3);
+                   },
+                   [](int, int p) {
+                     return std::vector{charged_if_multi(
+                         p, "allreduce", "allreduce", "allreduce",
+                         2.0 * (3.0 * 8) * (p - 1) / p)};
+                   }});
+  cases.push_back({"allreduce_max", CollectiveKind::allreduce,
+                   [](Comm& w) {
+                     std::vector<float> v(2, float(w.rank()));
+                     w.allreduce_max(v.data(), 2);
+                   },
+                   [](int, int p) {
+                     return std::vector{charged_if_multi(
+                         p, "allreduce", "allreduce", "allreduce",
+                         2.0 * (2.0 * 4) * (p - 1) / p)};
+                   }});
+  cases.push_back({"reduce_scatter", CollectiveKind::reduce_scatter,
+                   [](Comm& w) {
+                     const auto counts = uneven_counts(w.size());
+                     std::vector<double> in(total_of(counts), 1.0);
+                     std::vector<double> out(counts[w.rank()]);
+                     w.reduce_scatter_sum(in.data(), out.data(), counts);
+                   },
+                   [](int, int p) {
+                     const double total = double(total_of(uneven_counts(p)));
+                     return std::vector{charged_if_multi(
+                         p, "reduce_scatter", "reduce_scatter",
+                         "reduce_scatter", total * 8 * (p - 1) / p)};
+                   }});
+  cases.push_back({"allgatherv", CollectiveKind::allgather,
+                   [](Comm& w) {
+                     const auto counts = uneven_counts(w.size());
+                     std::vector<int> in(counts[w.rank()], w.rank());
+                     std::vector<int> out(total_of(counts));
+                     w.allgatherv(in.data(), out.data(), counts);
+                   },
+                   [](int rank, int p) {
+                     const auto counts = uneven_counts(p);
+                     const double received =
+                         double(total_of(counts) - counts[rank]);
+                     return std::vector{charged_if_multi(
+                         p, "allgatherv", "allgather", "allgather",
+                         received * 4)};
+                   }});
+  cases.push_back(
+      {"alltoallv", CollectiveKind::alltoall,
+       [](Comm& w) {
+         const int p = w.size();
+         std::vector<idx_t> sdispls(p), recvcounts(p), rdispls(p);
+         idx_t sent = 0, received = 0;
+         for (int r = 0; r < p; ++r) {
+           sdispls[r] = sent;
+           sent += a2a_count(w.rank(), r);
+           recvcounts[r] = a2a_count(r, w.rank());
+           rdispls[r] = received;
+           received += recvcounts[r];
+         }
+         std::vector<double> in(sent, 1.0), out(received);
+         w.alltoallv(in.data(), sdispls, out.data(), recvcounts, rdispls);
+       },
+       [](int rank, int p) {
+         double off_rank = 0.0;
+         for (int s = 0; s < p; ++s) {
+           if (s != rank) off_rank += double(a2a_count(s, rank)) * 8;
+         }
+         return std::vector{
+             LedgerCall{"alltoallv", "alltoall", "alltoall", off_rank}};
+       }});
+  cases.push_back(
+      {"send_recv", CollectiveKind::point_to_point,
+       [](Comm& w) {
+         const int p = w.size();
+         const int from = (w.rank() + p - 1) % p;
+         std::vector<double> out(p2p_count(w.rank()), 2.0);
+         std::vector<double> in(p2p_count(from));
+         w.send(out.data(), p2p_count(w.rank()), (w.rank() + 1) % p, 7);
+         w.recv(in.data(), p2p_count(from), from, 7);
+       },
+       [](int rank, int) {
+         return std::vector{
+             LedgerCall{"send", "send", "p2p", double(p2p_count(rank)) * 8},
+             uncharged("recv", "recv")};
+       }});
+  cases.push_back({"split", CollectiveKind::count_,
+                   [](Comm& w) {
+                     const Comm sub = w.split(w.rank() % 2, -w.rank());
+                     EXPECT_TRUE(sub.valid());
+                   },
+                   [](int, int) {
+                     return std::vector{uncharged("split", "split")};
+                   }});
+  return cases;
+}
+
+void check_ledgers(const OracleCase& c, int p) {
+  SCOPED_TRACE(std::string(c.name) + " at P=" + std::to_string(p));
+  std::vector<Stats> stats;
+  std::vector<prof::Recorder> traces;
+  std::vector<metrics::Registry> regs;
+  std::vector<std::vector<obs::Record>> flight(p);
+  RunOptions opts;
+  opts.rank_metrics = &regs;
+  Runtime::run(
+      p,
+      [&](Comm& world) {
+        {
+          prof::TraceSpan tagged("oracle", Phase::ttm);
+          c.run(world);
+        }
+        flight[world.rank()] = obs::flight_recorder()->snapshot();
+      },
+      &stats, &traces, opts);
+
+  for (int r = 0; r < p; ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    const std::vector<LedgerCall> calls = c.expect(r, p);
+    double bytes = 0.0;
+    std::uint64_t messages = 0;
+    for (const LedgerCall& call : calls) {
+      if (call.complete.empty()) continue;
+      bytes += call.bytes;
+      ++messages;
+    }
+
+    // Stats: only the case's kind, and only under the tagged phase.
+    for (std::size_t k = 0; k < kCollectiveCount; ++k) {
+      const bool mine = k == static_cast<std::size_t>(c.kind);
+      EXPECT_DOUBLE_EQ(stats[r].comm_bytes[k], mine ? bytes : 0.0) << k;
+      EXPECT_EQ(stats[r].messages[k], mine ? messages : 0u) << k;
+      const metrics::CollectiveMetrics& m =
+          regs[r].collective(static_cast<CollectiveKind>(k));
+      EXPECT_EQ(m.calls, mine ? messages : 0u) << k;
+      EXPECT_DOUBLE_EQ(m.bytes.sum, mine ? bytes : 0.0) << k;
+      EXPECT_EQ(m.seconds.count, mine ? messages : 0u) << k;
+    }
+    for (std::size_t ph = 0; ph < kPhaseCount; ++ph) {
+      EXPECT_DOUBLE_EQ(stats[r].comm_bytes_by_phase[ph],
+                       ph == static_cast<std::size_t>(Phase::ttm) ? bytes
+                                                                   : 0.0)
+          << phase_name(static_cast<Phase>(ph));
+    }
+
+    // Flight recorder: post (+ complete) per call, in call order.
+    std::vector<std::string> got_edges, want_edges;
+    for (const obs::Record& rec : flight[r]) {
+      if (rec.kind != obs::RecordKind::collective_post &&
+          rec.kind != obs::RecordKind::collective_complete) {
+        continue;
+      }
+      got_edges.push_back(std::string(obs::record_kind_name(rec.kind)) +
+                          ":" + rec.op + ":" + std::to_string(rec.bytes));
+    }
+    for (const LedgerCall& call : calls) {
+      want_edges.push_back(
+          std::string(obs::record_kind_name(
+              obs::RecordKind::collective_post)) +
+          ":" + call.site + ":" + std::to_string(0.0));
+      if (call.complete.empty()) continue;
+      want_edges.push_back(
+          std::string(obs::record_kind_name(
+              obs::RecordKind::collective_complete)) +
+          ":" + call.complete + ":" + std::to_string(call.bytes));
+    }
+    EXPECT_EQ(got_edges, want_edges);
+
+    // Spans: one child of the tagged root per call, with its deltas.
+    std::vector<const prof::TraceEvent*> children;
+    for (const prof::TraceEvent& e : traces[r].events()) {
+      if (e.depth == 1) children.push_back(&e);
+    }
+    ASSERT_EQ(children.size(), calls.size());
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+      const prof::TraceEvent& e = *children[i];
+      const bool charged = !calls[i].complete.empty();
+      EXPECT_EQ(e.name, calls[i].span);
+      EXPECT_EQ(e.path, "oracle/" + calls[i].span);
+      EXPECT_DOUBLE_EQ(e.total_comm_bytes(), calls[i].bytes);
+      if (charged) {
+        EXPECT_DOUBLE_EQ(e.comm_bytes[static_cast<int>(c.kind)],
+                         calls[i].bytes);
+      }
+      EXPECT_EQ(e.messages, charged ? 1u : 0u);
+    }
+  }
+}
+
+void check_fault_sites(const OracleCase& c, int p) {
+  SCOPED_TRACE(std::string(c.name) + " at P=" + std::to_string(p));
+  const std::vector<LedgerCall> calls = c.expect(0, p);
+  fault::Plan plan;
+  for (const LedgerCall& call : calls) {
+    fault::Rule rule;
+    rule.op = call.site;
+    rule.action = fault::Action::delay;
+    rule.delay_ms = 0.0;
+    plan.add(rule);
+  }
+  RunOptions opts;
+  opts.fault_plan = &plan;
+  Runtime::run(p, c.run, nullptr, nullptr, opts);
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    EXPECT_EQ(plan.fired(i), 1u) << calls[i].site;
+  }
+}
+
+TEST(CommLedgers, EveryEntryPointRecordsExactlyItsCharge) {
+  for (const OracleCase& c : oracle_cases()) {
+    for (const int p : {1, 3}) check_ledgers(c, p);
+  }
+}
+
+TEST(CommLedgers, FaultPlanMatchesEveryEntryPointSite) {
+  for (const OracleCase& c : oracle_cases()) {
+    for (const int p : {1, 3}) check_fault_sites(c, p);
+  }
 }
 
 }  // namespace

@@ -149,7 +149,8 @@ TEST(CommCheck, OffByDefaultLeavesScheduleUnvalidated) {
 }
 
 TEST(CommCheck, FingerprintEqualityAndDtypeTags) {
-  SchedFingerprint a{SchedOp::allreduce, sched_dtype_tag<double>(), -1, 64};
+  SchedFingerprint a{CollectiveOp::allreduce, sched_dtype_tag<double>(), -1,
+                     64};
   SchedFingerprint b = a;
   EXPECT_EQ(a, b);
   b.bytes = 32;

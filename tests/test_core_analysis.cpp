@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/stats.hpp"
+#include "prof/trace.hpp"
 #include "test_util.hpp"
 
 namespace rahooi::core {
@@ -154,7 +155,7 @@ TEST(AnalyzeCore, RecordsCoreAnalysisFlops) {
   Stats s;
   {
     ScopedStats scoped(s);
-    PhaseScope p(Phase::core_analysis);
+    prof::TraceSpan p("core_analysis", Phase::core_analysis);
     auto core = random_tensor<double>({5, 5, 5}, 822);
     (void)analyze_core(core, {10, 10, 10}, 0.5 * core.sum_squares());
   }

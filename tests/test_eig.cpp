@@ -130,7 +130,9 @@ Matrix<double> oracle_input(Spectrum kind, idx_t n, std::uint64_t seed) {
       return random_symmetric<double>(n, seed);
     case Spectrum::graded:
       return with_eigenvalues([n](idx_t j) {
-        return n == 1 ? 1.0 : std::pow(10.0, -14.0 * j / (n - 1));
+        return n == 1 ? 1.0
+                      : std::pow(10.0, -14.0 * static_cast<double>(j) /
+                                           static_cast<double>(n - 1));
       });
     case Spectrum::repeated:
       return with_eigenvalues([n](idx_t j) {
@@ -145,7 +147,8 @@ Matrix<double> oracle_input(Spectrum kind, idx_t n, std::uint64_t seed) {
     case Spectrum::diagonal: {
       Matrix<double> a(n, n);
       for (idx_t i = 0; i < n; ++i) {
-        a(i, i) = static_cast<double>((i * 37) % n) - n / 3.0;
+        a(i, i) = static_cast<double>((i * 37) % n) -
+                  static_cast<double>(n) / 3.0;
       }
       return a;
     }
@@ -211,7 +214,8 @@ TYPED_TEST(EigTyped, MatchesEispackReferenceAcrossSpectra) {
         if (c1 < n) {
           gap = std::min(gap, ref.eigenvalues[c1 - 1] - ref.eigenvalues[c1]);
         }
-        const double tol = 100.0 * n * 2.3e-16 * norm / gap + out_eps;
+        const double tol =
+            100.0 * static_cast<double>(n) * 2.3e-16 * norm / gap + out_eps;
         const auto vc = v.cref().block(0, c0, n, c1 - c0);
         const auto rc = vr.cref().block(0, c0, n, c1 - c0);
         // (I - V_c V_c^T) R_c: the part of the reference cluster basis

@@ -171,7 +171,7 @@ TEST(TraceSpan, TaggedSpanKeepsStatsAttributionWithoutRecorder) {
     stats::add_flops(42.0);
   }
   // No recorder: nothing traced, but phase seconds and flop attribution
-  // still work (the span subsumes the old PhaseTimer).
+  // still work (tagged spans are the only phase-timing site).
   EXPECT_GT(stats.seconds[static_cast<int>(Phase::ttm)], 0.0);
   EXPECT_DOUBLE_EQ(stats.flops[static_cast<int>(Phase::ttm)], 42.0);
 }

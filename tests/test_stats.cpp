@@ -4,6 +4,8 @@
 
 #include <thread>
 
+#include "prof/trace.hpp"
+
 namespace rahooi {
 namespace {
 
@@ -40,10 +42,10 @@ TEST(Stats, FlopsAttributedToActivePhase) {
   Stats s;
   ScopedStats scoped(s);
   {
-    PhaseScope p(Phase::gram);
+    prof::TraceSpan p("gram", Phase::gram);
     stats::add_flops(10);
     {
-      PhaseScope q(Phase::evd);
+      prof::TraceSpan q("evd", Phase::evd);
       stats::add_flops(20);
     }
     stats::add_flops(1);
@@ -56,15 +58,15 @@ TEST(Stats, SequentialVsParallelSplit) {
   Stats s;
   ScopedStats scoped(s);
   {
-    PhaseScope p(Phase::ttm);
+    prof::TraceSpan p("ttm", Phase::ttm);
     stats::add_flops(100);
   }
   {
-    PhaseScope p(Phase::evd);
+    prof::TraceSpan p("evd", Phase::evd);
     stats::add_flops(30);
   }
   {
-    PhaseScope p(Phase::qr);
+    prof::TraceSpan p("qr", Phase::qr);
     stats::add_flops(7);
   }
   EXPECT_DOUBLE_EQ(s.sequential_flops(), 37.0);
@@ -74,7 +76,7 @@ TEST(Stats, SequentialVsParallelSplit) {
 TEST(Stats, CommBytesAndMessagesRecorded) {
   Stats s;
   ScopedStats scoped(s);
-  PhaseScope p(Phase::ttm);
+  prof::TraceSpan p("ttm", Phase::ttm);
   stats::add_comm(CollectiveKind::reduce_scatter, 1024);
   stats::add_comm(CollectiveKind::reduce_scatter, 512);
   stats::add_comm(CollectiveKind::allgather, 256);
@@ -90,7 +92,7 @@ TEST(Stats, PhaseTimerAccumulatesSeconds) {
   Stats s;
   ScopedStats scoped(s);
   {
-    PhaseTimer t(Phase::gram);
+    prof::TraceSpan t("gram", Phase::gram);
     volatile double sink = 0;
     for (int i = 0; i < 100000; ++i) sink = sink + 1.0;
   }
@@ -103,13 +105,13 @@ TEST(Stats, AccumulateOperator) {
   Stats a, b;
   {
     ScopedStats scoped(a);
-    PhaseScope p(Phase::ttm);
+    prof::TraceSpan p("ttm", Phase::ttm);
     stats::add_flops(10);
     stats::add_comm(CollectiveKind::bcast, 8);
   }
   {
     ScopedStats scoped(b);
-    PhaseScope p(Phase::ttm);
+    prof::TraceSpan p("ttm", Phase::ttm);
     stats::add_flops(5);
   }
   a += b;

@@ -218,7 +218,7 @@ const std::set<std::string>& collective_methods() {
 
 const std::set<std::string>& guard_types() {
   static const std::set<std::string> kGuards{
-      "TraceSpan",       "CollectiveGuard", "ScopedRankBinding",
+      "TraceSpan",       "CollectiveScope", "ScopedRankBinding",
       "ScopedPlan",      "ScopedThreadPlan", "MemScopeGuard",
       "ScopedBytes",     "lock_guard",      "unique_lock",
       "scoped_lock",     "shared_lock",

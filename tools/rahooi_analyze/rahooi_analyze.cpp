@@ -98,7 +98,7 @@ struct Finding {
   std::string message;
   std::vector<std::string> chain;
   bool suppressed = false;
-  std::string reason;  ///< the allow reason when suppressed
+  std::string reason = {};  ///< the allow reason when suppressed
 };
 
 struct Analysis {
