@@ -18,25 +18,24 @@ namespace {
 /// The names a Comm entry point goes by besides its CollectiveOp.
 struct Site {
   std::string_view span;               ///< prof span name
-  const char* site;                    ///< park, flight-post and fault site
+  const char* site;                    ///< park, flight and fault site
   std::optional<CollectiveKind> kind;  ///< none: never charged
-  bool charged_on_one_rank;            ///< no one-rank early return
 };
 
 /// One row per CollectiveOp, in enum order; allreduce_max goes by
 /// allreduce's names.
 constexpr Site kSites[] = {
-    {"barrier", "barrier", {}, false},
-    {"bcast", "bcast", CollectiveKind::bcast, false},
-    {"reduce", "reduce", CollectiveKind::reduce, false},
-    {"allreduce", "allreduce", CollectiveKind::allreduce, false},
-    {"allreduce", "allreduce", CollectiveKind::allreduce, false},
-    {"reduce_scatter", "reduce_scatter", CollectiveKind::reduce_scatter, false},
-    {"allgatherv", "allgather", CollectiveKind::allgather, false},
-    {"alltoallv", "alltoall", CollectiveKind::alltoall, true},
-    {"split", "split", {}, false},
-    {"send", "send", CollectiveKind::point_to_point, true},
-    {"recv", "recv", {}, false},
+    {"barrier", "barrier", {}},
+    {"bcast", "bcast", CollectiveKind::bcast},
+    {"reduce", "reduce", CollectiveKind::reduce},
+    {"allreduce", "allreduce", CollectiveKind::allreduce},
+    {"allreduce", "allreduce", CollectiveKind::allreduce},
+    {"reduce_scatter", "reduce_scatter", CollectiveKind::reduce_scatter},
+    {"allgatherv", "allgather", CollectiveKind::allgather},
+    {"alltoallv", "alltoall", CollectiveKind::alltoall},
+    {"split", "split", {}},
+    {"send", "send", CollectiveKind::point_to_point},
+    {"recv", "recv", {}},
 };
 static_assert(std::size(kSites) == std::size_t(CollectiveOp::recv) + 1);
 
@@ -73,7 +72,7 @@ CollectiveScope::CollectiveScope(CollectiveOp op, Context* ctx, int comm_rank,
   // A throw here (retries exhausted, injected kill) leaves the rank parked.
   fault::with_retry([&] { fault::inject_point(s.site, world_rank_); });
   const int size = ctx != nullptr ? ctx->size() : 1;
-  charged_ = s.kind.has_value() && (size > 1 || s.charged_on_one_rank);
+  charged_ = s.kind.has_value() && size > 1;
   if (charged_) {
     uncaught_ = std::uncaught_exceptions();
     reg_ = metrics::registry();
@@ -92,14 +91,13 @@ CollectiveScope::CollectiveScope(CollectiveOp op, Context* ctx, int comm_rank,
 
 CollectiveScope::~CollectiveScope() {
   if (charged_ && std::uncaught_exceptions() == uncaught_) {
-    const CollectiveKind kind = *site_of(op_).kind;
-    stats::add_comm(kind, bytes_);
+    const Site& s = site_of(op_);
+    stats::add_comm(*s.kind, bytes_);
     if (obs::FlightRecorder* fr = obs::flight_recorder()) {
-      fr->record(obs::RecordKind::collective_complete, collective_name(kind),
-                 bytes_);
+      fr->record(obs::RecordKind::collective_complete, s.site, bytes_);
     }
     if (reg_ != nullptr) {
-      reg_->record_collective(kind, bytes_, stats::now() - t0_);
+      reg_->record_collective(*s.kind, bytes_, stats::now() - t0_);
     }
   }
   if (mon_ != nullptr) mon_->unpark(world_rank_);

@@ -41,10 +41,10 @@ using idx_t = std::int64_t;
 /// large-message algorithm: ring allgather, recursive-halving
 /// reduce-scatter, Rabenseifner allreduce, binomial bcast/reduce; what the
 /// Table 2 reproduction measures) to Stats (per kind and active phase), the
-/// metrics registry and a flight collective_complete. Nothing is charged
-/// while unwinding, by barrier/recv/split, or on one rank by the ops that
-/// return there before any rendezvous (all but alltoallv and send). The
-/// rank is unparked on every exit but a throwing fault hook.
+/// metrics registry and a flight collective_complete under the same site
+/// name as the post. Nothing is charged while unwinding, by
+/// barrier/recv/split, or on a one-rank communicator. The rank is unparked
+/// on every exit but a throwing fault hook.
 class CollectiveScope {
  public:
   /// `dtype`, `root` and `sched_bytes` complete the op's schedule

@@ -69,7 +69,6 @@ template <typename T>
 void SolveSession<T>::begin_step(int done) {
   const comm::Comm& world = x_.grid().world();
   if (options_.yield_flag != nullptr) {
-    prof::TraceSpan span("yield_check");
     int yield = (world.rank() == 0 &&
                  options_.yield_flag->load(std::memory_order_acquire) != 0)
                     ? 1

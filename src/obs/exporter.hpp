@@ -21,7 +21,7 @@
 //
 // The exporter owns no scheduler state and holds no lock while writing:
 // snapshot under the producer's lock, render + publish outside it. Enforced
-// invariant (rahooi_lint `raw-status-write`): status/exposition files are
+// invariant (rahooi_analyze `raw-status-write`): status/exposition files are
 // only ever written through obs::write_atomic.
 
 #include <array>

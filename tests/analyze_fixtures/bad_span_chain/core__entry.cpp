@@ -1,7 +1,7 @@
 // Seeded fixture: a src/core call chain reaches a collective with no live
 // prof::TraceSpan anywhere on the path. The leaf lives outside the span
-// zone (serve__leaf.cpp), so the intra-file collective-span lint rule
-// cannot see it — only the cross-TU span-chain rule fires, exactly once.
+// zone (serve__leaf.cpp), so only the call from src/core is reported,
+// exactly once.
 namespace rahooi {
 namespace comm { class Comm; }
 

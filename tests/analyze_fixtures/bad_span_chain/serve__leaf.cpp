@@ -1,6 +1,6 @@
 // The unspanned leaf: a barrier with no TraceSpan. src/serve is outside
-// the collective-span zone, so this file is clean in isolation; the
-// exposure only matters once src/core reaches it.
+// the span-chain zone, so this file is clean in isolation; the exposure
+// only matters once src/core reaches it.
 namespace rahooi {
 
 void flush_ranks(comm::Comm& world) {

@@ -266,19 +266,17 @@ TEST(Comm, ManySmallCollectivesStressSlotReuse) {
 //   * Stats: bytes and messages per CollectiveKind, and bytes by phase under
 //     a phase-tagged span;
 //   * metrics::Registry: calls, byte sum and timed-call count per kind;
-//   * the flight recorder: one post edge per call (site name) and, for a
-//     charged call, one complete edge (kind name) carrying the bytes;
+//   * the flight recorder: one post edge per call and, for a charged call,
+//     one complete edge carrying the bytes, both under the site name;
 //   * prof spans: the call's span name with its byte and message deltas;
 //   * the fault plan: a rule keyed on each site name fires.
-// On one rank the rooted and reducing collectives return before any
-// rendezvous and charge nothing; alltoallv and send have no such shortcut
-// and are charged even there (alltoallv with zero bytes).
+// Nothing is charged on one rank.
 
 /// One collective call as the ledgers must see it on one rank.
 struct LedgerCall {
   std::string span;      ///< prof span name
-  std::string site;      ///< flight post op and fault site name
-  std::string complete;  ///< flight complete op; "" when the call is uncharged
+  std::string site;      ///< flight op and fault site name
+  bool charged = false;  ///< charged, with a flight complete
   double bytes = 0.0;    ///< bytes charged to the case's kind
 };
 
@@ -290,13 +288,13 @@ struct OracleCase {
 };
 
 LedgerCall uncharged(const char* span, const char* site) {
-  return LedgerCall{span, site, "", 0.0};
+  return LedgerCall{span, site, false, 0.0};
 }
 
 /// A call that is charged only on a multi-rank communicator.
 LedgerCall charged_if_multi(int p, const char* span, const char* site,
-                            const char* complete, double bytes) {
-  return p > 1 ? LedgerCall{span, site, complete, bytes}
+                            double bytes) {
+  return p > 1 ? LedgerCall{span, site, true, bytes}
                : uncharged(span, site);
 }
 
@@ -330,7 +328,7 @@ std::vector<OracleCase> oracle_cases() {
                    },
                    [](int, int p) {
                      return std::vector{charged_if_multi(
-                         p, "bcast", "bcast", "bcast", 5.0 * 8)};
+                         p, "bcast", "bcast", 5.0 * 8)};
                    }});
   cases.push_back({"reduce", CollectiveKind::reduce,
                    [](Comm& w) {
@@ -339,7 +337,7 @@ std::vector<OracleCase> oracle_cases() {
                    },
                    [](int, int p) {
                      return std::vector{charged_if_multi(
-                         p, "reduce", "reduce", "reduce", 4.0 * 4)};
+                         p, "reduce", "reduce", 4.0 * 4)};
                    }});
   cases.push_back({"allreduce_sum", CollectiveKind::allreduce,
                    [](Comm& w) {
@@ -348,7 +346,7 @@ std::vector<OracleCase> oracle_cases() {
                    },
                    [](int, int p) {
                      return std::vector{charged_if_multi(
-                         p, "allreduce", "allreduce", "allreduce",
+                         p, "allreduce", "allreduce",
                          2.0 * (3.0 * 8) * (p - 1) / p)};
                    }});
   cases.push_back({"allreduce_max", CollectiveKind::allreduce,
@@ -358,7 +356,7 @@ std::vector<OracleCase> oracle_cases() {
                    },
                    [](int, int p) {
                      return std::vector{charged_if_multi(
-                         p, "allreduce", "allreduce", "allreduce",
+                         p, "allreduce", "allreduce",
                          2.0 * (2.0 * 4) * (p - 1) / p)};
                    }});
   cases.push_back({"reduce_scatter", CollectiveKind::reduce_scatter,
@@ -372,7 +370,7 @@ std::vector<OracleCase> oracle_cases() {
                      const double total = double(total_of(uneven_counts(p)));
                      return std::vector{charged_if_multi(
                          p, "reduce_scatter", "reduce_scatter",
-                         "reduce_scatter", total * 8 * (p - 1) / p)};
+                         total * 8 * (p - 1) / p)};
                    }});
   cases.push_back({"allgatherv", CollectiveKind::allgather,
                    [](Comm& w) {
@@ -386,8 +384,7 @@ std::vector<OracleCase> oracle_cases() {
                      const double received =
                          double(total_of(counts) - counts[rank]);
                      return std::vector{charged_if_multi(
-                         p, "allgatherv", "allgather", "allgather",
-                         received * 4)};
+                         p, "allgatherv", "allgather", received * 4)};
                    }});
   cases.push_back(
       {"alltoallv", CollectiveKind::alltoall,
@@ -411,7 +408,7 @@ std::vector<OracleCase> oracle_cases() {
            if (s != rank) off_rank += double(a2a_count(s, rank)) * 8;
          }
          return std::vector{
-             LedgerCall{"alltoallv", "alltoall", "alltoall", off_rank}};
+             charged_if_multi(p, "alltoallv", "alltoall", off_rank)};
        }});
   cases.push_back(
       {"send_recv", CollectiveKind::point_to_point,
@@ -423,9 +420,9 @@ std::vector<OracleCase> oracle_cases() {
          w.send(out.data(), p2p_count(w.rank()), (w.rank() + 1) % p, 7);
          w.recv(in.data(), p2p_count(from), from, 7);
        },
-       [](int rank, int) {
+       [](int rank, int p) {
          return std::vector{
-             LedgerCall{"send", "send", "p2p", double(p2p_count(rank)) * 8},
+             charged_if_multi(p, "send", "send", double(p2p_count(rank)) * 8),
              uncharged("recv", "recv")};
        }});
   cases.push_back({"split", CollectiveKind::count_,
@@ -464,7 +461,7 @@ void check_ledgers(const OracleCase& c, int p) {
     double bytes = 0.0;
     std::uint64_t messages = 0;
     for (const LedgerCall& call : calls) {
-      if (call.complete.empty()) continue;
+      if (!call.charged) continue;
       bytes += call.bytes;
       ++messages;
     }
@@ -502,11 +499,11 @@ void check_ledgers(const OracleCase& c, int p) {
           std::string(obs::record_kind_name(
               obs::RecordKind::collective_post)) +
           ":" + call.site + ":" + std::to_string(0.0));
-      if (call.complete.empty()) continue;
+      if (!call.charged) continue;
       want_edges.push_back(
           std::string(obs::record_kind_name(
               obs::RecordKind::collective_complete)) +
-          ":" + call.complete + ":" + std::to_string(call.bytes));
+          ":" + call.site + ":" + std::to_string(call.bytes));
     }
     EXPECT_EQ(got_edges, want_edges);
 
@@ -518,7 +515,7 @@ void check_ledgers(const OracleCase& c, int p) {
     ASSERT_EQ(children.size(), calls.size());
     for (std::size_t i = 0; i < calls.size(); ++i) {
       const prof::TraceEvent& e = *children[i];
-      const bool charged = !calls[i].complete.empty();
+      const bool charged = calls[i].charged;
       EXPECT_EQ(e.name, calls[i].span);
       EXPECT_EQ(e.path, "oracle/" + calls[i].span);
       EXPECT_DOUBLE_EQ(e.total_comm_bytes(), calls[i].bytes);

@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "common/contracts.hpp"
+#include "test_util.hpp"
 
 namespace rahooi {
 namespace {
@@ -63,7 +64,7 @@ TEST(CsvTable, WriteToFileRoundTrips) {
   t.begin_row();
   t.add(1);
   t.add(2);
-  const std::string path = testing::TempDir() + "/rahooi_csv_test.csv";
+  const std::string path = testutil::unique_tmp_path("rahooi_csv_test.csv");
   t.write(path);
   std::ifstream in(path);
   std::string line;

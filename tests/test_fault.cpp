@@ -5,7 +5,6 @@
 #include "fault/fault.hpp"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <cmath>
@@ -27,6 +26,7 @@ namespace rahooi {
 namespace {
 
 using testutil::random_tensor;
+using testutil::unique_tmp_path;
 
 // ---------------------------------------------------------------------------
 // Fault plan parsing
@@ -455,13 +455,6 @@ TEST(Degradation, ValidateRejectsBadOptions) {
 // Checkpoint/restart (tentpole part 4)
 // ---------------------------------------------------------------------------
 
-std::string temp_path(const std::string& name) {
-  // These tests are compiled into both rahooi_tests and the sanitize-smoke
-  // binary; a parallel ctest run executes both copies concurrently, so the
-  // path must be unique per process.
-  return ::testing::TempDir() + std::to_string(::getpid()) + "_" + name;
-}
-
 core::SweepCheckpoint<double> sample_checkpoint() {
   core::SweepCheckpoint<double> ck;
   ck.sweeps_done = 2;
@@ -479,7 +472,7 @@ core::SweepCheckpoint<double> sample_checkpoint() {
 }
 
 TEST(Checkpoint, RoundTripsExactly) {
-  const std::string path = temp_path("rahooi_ck_roundtrip.bin");
+  const std::string path = unique_tmp_path("rahooi_ck_roundtrip.bin");
   const auto ck = sample_checkpoint();
   core::save_checkpoint(path, ck);
   const auto back = core::load_checkpoint<double>(path);
@@ -500,7 +493,7 @@ TEST(Checkpoint, RoundTripsExactly) {
 }
 
 TEST(Checkpoint, DetectsCorruptionAndTruncation) {
-  const std::string path = temp_path("rahooi_ck_corrupt.bin");
+  const std::string path = unique_tmp_path("rahooi_ck_corrupt.bin");
   core::save_checkpoint(path, sample_checkpoint());
 
   // Flip one payload byte: the checksum must catch it.
@@ -543,7 +536,7 @@ TEST(Checkpoint, KilledRunRestoresToTheUninterruptedResult) {
   // and verify the restored run reproduces the uninterrupted solve exactly
   // (counter-based RNG + canonical-order reductions make sweeps bitwise
   // deterministic).
-  const std::string ck_path = temp_path("rahooi_ck_restart.bin");
+  const std::string ck_path = unique_tmp_path("rahooi_ck_restart.bin");
   auto x = random_tensor<double>({8, 7, 6}, 321);
 
   core::HooiOptions o;
@@ -623,8 +616,8 @@ TEST(Checkpoint, RestoreRejectsMismatchedConfiguration) {
   // One case table over both solvers: each checkpointed solve is resumed
   // with one thing changed, and must be rejected by the matching check (the
   // message fragment pins which one fired), or resume to completion.
-  const std::string hooi_ck = temp_path("rahooi_ck_mismatch_hooi.bin");
-  const std::string ra_ck = temp_path("rahooi_ck_mismatch_ra.bin");
+  const std::string hooi_ck = unique_tmp_path("rahooi_ck_mismatch_hooi.bin");
+  const std::string ra_ck = unique_tmp_path("rahooi_ck_mismatch_ra.bin");
   comm::Runtime::run(1, [&](comm::Comm& world) {
     const dist::ProcessorGrid grid3(world, {1, 1, 1});
     const dist::ProcessorGrid grid4(world, {1, 1, 1, 1});

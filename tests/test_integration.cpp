@@ -17,6 +17,7 @@
 #include "io/param_file.hpp"
 #include "io/tensor_io.hpp"
 #include "tensor/ttm.hpp"
+#include "test_util.hpp"
 
 namespace rahooi {
 namespace {
@@ -67,13 +68,7 @@ TEST_P(PipelineSweep, CompressWriteReadDecompress) {
   int p = 1;
   for (const int g : c.grid) p *= g;
 
-  // Unique per parameter case: ctest runs the instances as parallel
-  // processes, so a shared path would race write/read/remove.
-  std::string tag;
-  for (const int g : c.grid) tag += std::to_string(g);
-  const std::string path = testing::TempDir() + "/rahooi_pipeline_" +
-                           std::to_string(c.dims.size()) + "d_" + tag +
-                           ".rhk";
+  const std::string path = testutil::unique_tmp_path("rahooi_pipeline.rhk");
   tensor::Tensor<double> reference =
       data::synthetic_tucker_serial<double>(c.dims, c.true_ranks, 0.01, 99);
 

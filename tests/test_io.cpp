@@ -89,7 +89,7 @@ TEST(ParamFile, LoadMissingFileThrows) {
 
 TEST(TensorIo, TensorRoundTrip) {
   auto x = testutil::random_tensor<double>({5, 4, 3}, 2024);
-  const std::string path = testing::TempDir() + "/rahooi_t.bin";
+  const std::string path = testutil::unique_tmp_path("rahooi_t.bin");
   write_tensor(x, path);
   auto y = read_tensor<double>(path);
   ASSERT_EQ(y.dims(), x.dims());
@@ -99,7 +99,7 @@ TEST(TensorIo, TensorRoundTrip) {
 
 TEST(TensorIo, FloatTensorRoundTrip) {
   auto x = testutil::random_tensor<float>({6, 2}, 2025);
-  const std::string path = testing::TempDir() + "/rahooi_tf.bin";
+  const std::string path = testutil::unique_tmp_path("rahooi_tf.bin");
   write_tensor(x, path);
   auto y = read_tensor<float>(path);
   for (idx_t i = 0; i < x.size(); ++i) EXPECT_EQ(y[i], x[i]);
@@ -108,7 +108,7 @@ TEST(TensorIo, FloatTensorRoundTrip) {
 
 TEST(TensorIo, ElementTypeMismatchDetected) {
   auto x = testutil::random_tensor<float>({4, 4}, 2026);
-  const std::string path = testing::TempDir() + "/rahooi_tm.bin";
+  const std::string path = testutil::unique_tmp_path("rahooi_tm.bin");
   write_tensor(x, path);
   EXPECT_THROW(read_tensor<double>(path), precondition_error);
   std::remove(path.c_str());
@@ -120,7 +120,7 @@ TEST(TensorIo, TuckerRoundTrip) {
   t.factors.push_back(testutil::random_matrix<double>(7, 2, 2028));
   t.factors.push_back(testutil::random_matrix<double>(6, 3, 2029));
   t.factors.push_back(testutil::random_matrix<double>(5, 2, 2030));
-  const std::string path = testing::TempDir() + "/rahooi_k.bin";
+  const std::string path = testutil::unique_tmp_path("rahooi_k.bin");
   write_tucker(t, path);
   auto u = read_tucker<double>(path);
   ASSERT_EQ(u.ranks(), t.ranks());
@@ -133,7 +133,7 @@ TEST(TensorIo, TuckerRoundTrip) {
 }
 
 TEST(TensorIo, GarbageFileRejected) {
-  const std::string path = testing::TempDir() + "/rahooi_g.bin";
+  const std::string path = testutil::unique_tmp_path("rahooi_g.bin");
   {
     std::ofstream out(path, std::ios::binary);
     out << "this is not a tensor";
@@ -150,7 +150,7 @@ TEST(TensorIo, MissingFileThrows) {
 
 TEST(TensorIo, DistReadMatchesSerialRead) {
   auto x = testutil::random_tensor<double>({8, 6, 5}, 2040);
-  const std::string path = testing::TempDir() + "/rahooi_dr.bin";
+  const std::string path = testutil::unique_tmp_path("rahooi_dr.bin");
   write_tensor(x, path);
   for (const std::vector<int>& gdims :
        {std::vector<int>{2, 2, 1}, {1, 1, 4}, {4, 1, 1}}) {
@@ -168,8 +168,8 @@ TEST(TensorIo, DistReadMatchesSerialRead) {
 
 TEST(TensorIo, DistWriteMatchesSerialWrite) {
   auto x = testutil::random_tensor<float>({7, 5, 6}, 2041);
-  const std::string serial_path = testing::TempDir() + "/rahooi_dw_s.bin";
-  const std::string dist_path = testing::TempDir() + "/rahooi_dw_d.bin";
+  const std::string serial_path = testutil::unique_tmp_path("rahooi_dw_s.bin");
+  const std::string dist_path = testutil::unique_tmp_path("rahooi_dw_d.bin");
   write_tensor(x, serial_path);
   comm::Runtime::run(4, [&](comm::Comm& world) {
     dist::ProcessorGrid grid(world, {2, 1, 2});
@@ -196,7 +196,7 @@ TEST(TensorIo, DistRoundTripFourWay) {
           return static_cast<double>(g[0] + 10 * g[1] + 100 * g[2] +
                                      1000 * g[3]);
         });
-    const std::string path = testing::TempDir() + "/rahooi_d4.bin";
+    const std::string path = testutil::unique_tmp_path("rahooi_d4.bin");
     write_dist_tensor(x, path);
     auto y = read_dist_tensor<double>(grid, x.global_dims(), path);
     for (idx_t i = 0; i < x.local().size(); ++i) {
@@ -209,7 +209,7 @@ TEST(TensorIo, DistRoundTripFourWay) {
 
 TEST(TensorIo, DistReadRejectsWrongDims) {
   auto x = testutil::random_tensor<double>({4, 4}, 2042);
-  const std::string path = testing::TempDir() + "/rahooi_wd.bin";
+  const std::string path = testutil::unique_tmp_path("rahooi_wd.bin");
   write_tensor(x, path);
   comm::Runtime::run(1, [&](comm::Comm& world) {
     dist::ProcessorGrid grid(world, {1, 1});

@@ -9,8 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <atomic>
 #include <cstdio>
 #include <fstream>
@@ -331,6 +329,29 @@ TEST(ObsMergeTrace, RoundTripValidates) {
             std::string::npos);
 }
 
+TEST(ObsMergeTrace, RealSendRendersAsOneCompleteEvent) {
+  // A send posts and completes its flight records under one op name, so
+  // the merged trace pairs them into one "X" event, not two instants.
+  std::vector<obs::JobTimeline> jobs(1);
+  jobs[0].name = "p2p";
+  jobs[0].ranks.resize(2);
+  comm::Runtime::run(2, [&](comm::Comm& world) {
+    double v = 1.0;
+    if (world.rank() == 0) {
+      world.send(&v, 1, 1, 7);
+    } else {
+      world.recv(&v, 1, 0, 7);
+    }
+    jobs[0].ranks[world.rank()] = obs::flight_recorder()->timeline();
+  });
+  const std::string json = obs::merge_trace(jobs);
+  const std::string send_event = "\"ph\":\"X\",\"name\":\"send\"";
+  const std::size_t at = json.find(send_event);
+  ASSERT_NE(at, std::string::npos) << json;
+  EXPECT_EQ(json.find(send_event, at + 1), std::string::npos) << json;
+  EXPECT_EQ(json.find("collective_post:send"), std::string::npos) << json;
+}
+
 TEST(ObsMergeTrace, ValidatorCatchesCorruption) {
   std::vector<obs::JobTimeline> jobs(1);
   jobs[0].name = "solo";
@@ -413,13 +434,8 @@ TEST(ObsExposition, TornReadIsDetected) {
 }
 
 TEST(ObsExporter, ConcurrentScrapesNeverSeeATornFile) {
-  // test_obs.cpp is built into both rahooi_tests and the sanitize-smoke
-  // binary, and a parallel ctest runs both copies at once: a shared path
-  // would let one copy's exporter overwrite the other's files.
-  const std::string dir = testing::TempDir();
-  const std::string pid = std::to_string(::getpid());
-  const std::string prom = dir + "/obs_exporter_test." + pid + ".prom";
-  const std::string table = dir + "/obs_exporter_test." + pid + ".txt";
+  const std::string prom = testutil::unique_tmp_path("obs_exporter_test.prom");
+  const std::string table = testutil::unique_tmp_path("obs_exporter_test.txt");
   std::remove(prom.c_str());
   std::remove(table.c_str());
 

@@ -9,8 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -18,6 +16,7 @@
 #include <thread>
 
 #include "common/contracts.hpp"
+#include "test_util.hpp"
 
 namespace rahooi {
 namespace {
@@ -264,10 +263,7 @@ bool path_exists(const std::string& p) {
 }
 
 TEST(ServeResilience, RetryResumesFromCheckpointAndMatchesUninterrupted) {
-  // Pid-unique path: this test exists in both the main and the sanitize
-  // binaries, which a parallel ctest runs concurrently in one directory.
-  const std::string ckpt =
-      "serve_retry_resume." + std::to_string(::getpid()) + ".rhk";
+  const std::string ckpt = testutil::unique_tmp_path("serve_retry_resume.rhk");
   std::remove(ckpt.c_str());
   // The kill fires on the *second* sweep site call (nth = 1), i.e. after
   // the sweep-1 checkpoint is on disk; the plan's rule counters live on the
@@ -352,11 +348,8 @@ TEST(ServeResilience, DeterministicFailureIsNeverRetried) {
 }
 
 TEST(ServeResilience, HighPriorityArrivalPreemptsCheckpointedLowJob) {
-  // Pid-unique path: this test exists in both the main and the sanitize
-  // binaries, which a parallel ctest runs concurrently in one directory —
-  // a shared name lets one instance poll its twin's checkpoint file.
   const std::string ckpt =
-      "serve_preempt_victim." + std::to_string(::getpid()) + ".rhk";
+      testutil::unique_tmp_path("serve_preempt_victim.rhk");
   std::remove(ckpt.c_str());
   serve::ServeOptions opts = checked_options();
   opts.pool_ranks = 2;  // the victim owns the whole pool while it runs

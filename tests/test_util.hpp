@@ -3,7 +3,11 @@
 // deliberately-naive reference implementations to check the optimized
 // kernels against.
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -14,6 +18,13 @@
 namespace rahooi::testutil {
 
 using la::idx_t;
+
+/// A temp file path unique to this process. Every test is built into both
+/// rahooi_tests and the sanitize-smoke binary, and a parallel ctest runs
+/// both copies at once, so a fixed name would race.
+inline std::string unique_tmp_path(const std::string& name) {
+  return ::testing::TempDir() + std::to_string(::getpid()) + "_" + name;
+}
 
 template <typename T>
 la::Matrix<T> random_matrix(idx_t rows, idx_t cols, std::uint64_t seed) {

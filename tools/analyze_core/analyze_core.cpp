@@ -7,12 +7,12 @@
 
 namespace analyze {
 
+namespace {
+
 bool ident_start(char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
 }
 bool ident_char(char c) { return ident_start(c) || (c >= '0' && c <= '9'); }
-
-namespace {
 
 std::string trim(std::string_view s) {
   std::size_t b = 0;
@@ -22,37 +22,34 @@ std::string trim(std::string_view s) {
   return std::string(s.substr(b, e - b));
 }
 
-/// Parses comment text for `rahooi-lint: allow(rule: reason)` /
-/// `rahooi-analyze: allow(rule: reason)` directives. The reason may itself
-/// contain parentheses; the directive ends at the last ')' on the line.
+/// Parses comment text for a `rahooi-analyze: allow(rule: reason)`
+/// directive. The reason may itself contain parentheses; the directive ends
+/// at the last ')' on the line.
 void parse_allows(std::string_view comment, int line,
                   std::vector<AllowDirective>& out) {
-  for (const char* tool : {"lint", "analyze"}) {
-    const std::string tag = std::string("rahooi-") + tool + ":";
-    const std::size_t at = comment.find(tag);
-    if (at == std::string_view::npos) continue;
-    std::size_t i = at + tag.size();
-    while (i < comment.size() && (comment[i] == ' ' || comment[i] == '\t')) {
-      ++i;
-    }
-    if (comment.compare(i, 6, "allow(") != 0) continue;
-    i += 6;
-    const std::size_t close = comment.rfind(')');
-    if (close == std::string_view::npos || close < i) continue;
-    const std::string_view body = comment.substr(i, close - i);
-    AllowDirective d;
-    d.line = line;
-    d.tool = tool;
-    const std::size_t colon = body.find(':');
-    if (colon == std::string_view::npos) {
-      d.rule = trim(body);
-      d.reason.clear();  // missing reason — an allow-syntax violation
-    } else {
-      d.rule = trim(body.substr(0, colon));
-      d.reason = trim(body.substr(colon + 1));
-    }
-    out.push_back(std::move(d));
+  constexpr std::string_view tag = "rahooi-analyze:";
+  const std::size_t at = comment.find(tag);
+  if (at == std::string_view::npos) return;
+  std::size_t i = at + tag.size();
+  while (i < comment.size() && (comment[i] == ' ' || comment[i] == '\t')) {
+    ++i;
   }
+  if (comment.compare(i, 6, "allow(") != 0) return;
+  i += 6;
+  const std::size_t close = comment.rfind(')');
+  if (close == std::string_view::npos || close < i) return;
+  const std::string_view body = comment.substr(i, close - i);
+  AllowDirective d;
+  d.line = line;
+  const std::size_t colon = body.find(':');
+  if (colon == std::string_view::npos) {
+    d.rule = trim(body);
+    d.reason.clear();  // missing reason — an allow-syntax violation
+  } else {
+    d.rule = trim(body.substr(0, colon));
+    d.reason = trim(body.substr(colon + 1));
+  }
+  out.push_back(std::move(d));
 }
 
 }  // namespace
@@ -132,15 +129,18 @@ FileSource tokenize(const std::string& src) {
       const std::string close = ")" + delim + "\"";
       std::size_t end = src.find(close, j);
       if (end == std::string::npos) end = n;
-      for (std::size_t k = i; k < std::min(end + close.size(), n); ++k) {
-        if (src[k] == '\n') ++line;
+      const std::size_t stop = std::min(end + close.size(), n);
+      push(TokKind::string, src.substr(i, stop - i));
+      for (; i < stop; ++i) {
+        if (src[i] == '\n') ++line;
       }
-      i = std::min(end + close.size(), n);
       continue;
     }
     // String / char literal.
     if (c == '"' || c == '\'') {
       const char quote = c;
+      const std::size_t start = i;
+      const int start_line = line;
       ++i;
       while (i < n && src[i] != quote) {
         if (src[i] == '\\' && i + 1 < n) ++i;
@@ -148,6 +148,10 @@ FileSource tokenize(const std::string& src) {
         ++i;
       }
       if (i < n) ++i;
+      if (quote == '"') {
+        out.tokens.push_back(
+            Token{TokKind::string, src.substr(start, i - start), start_line});
+      }
       continue;
     }
     if (ident_start(c)) {
@@ -227,11 +231,10 @@ const std::set<std::string>& guard_types() {
 }
 
 std::size_t match_allow(std::vector<AllowDirective>& allows,
-                        std::string_view tool, std::string_view rule,
-                        int line) {
+                        std::string_view rule, int line) {
   for (std::size_t k = 0; k < allows.size(); ++k) {
     AllowDirective& d = allows[k];
-    if (d.used || d.tool != tool || d.rule != rule) continue;
+    if (d.used || d.rule != rule) continue;
     if (d.line == line || d.line + 1 == line) {
       d.used = true;
       return k;

@@ -1,16 +1,14 @@
-// analyze_core — shared tokenizer + source model for the in-repo static
-// checkers (tools/rahooi_lint, tools/rahooi_analyze). See
-// docs/STATIC_ANALYSIS.md for the two-tool story.
+// analyze_core — tokenizer + source model behind the in-repo static
+// checker, tools/rahooi_analyze (docs/STATIC_ANALYSIS.md).
 //
 // Deliberately small and dependency-free: C++ source is tokenized with
 // comments, string/char/raw-string literals, and preprocessor lines handled
 // (capturing #include targets), but there is no preprocessing, no name
 // lookup, and "::" is the only multi-character punctuator any client needs.
 //
-// New here relative to the original rahooi_lint tokenizer: suppression
-// directives are captured from comments. A line comment of the form
+// Suppression directives are captured from comments. A line comment of the
+// form
 //
-//     // rahooi-lint: allow(rule-name: reason text)
 //     // rahooi-analyze: allow(rule-name: reason text)
 //
 // suppresses findings of `rule-name` on the same line or the line directly
@@ -29,7 +27,9 @@
 
 namespace analyze {
 
-enum class TokKind { ident, number, punct, eof };
+/// `string` is a string literal (raw or not), spelled with its quotes so it
+/// never equals a punctuator; char literals are skipped.
+enum class TokKind { ident, number, punct, string, eof };
 
 struct Token {
   TokKind kind = TokKind::eof;
@@ -37,10 +37,9 @@ struct Token {
   int line = 1;
 };
 
-/// A `// rahooi-<tool>: allow(rule: reason)` comment directive.
+/// A `// rahooi-analyze: allow(rule: reason)` comment directive.
 struct AllowDirective {
   int line = 0;
-  std::string tool;    ///< "lint" or "analyze"
   std::string rule;    ///< kebab-case rule name as written
   std::string reason;  ///< mandatory justification text (may be empty —
                        ///< that is an allow-syntax violation, not a parse
@@ -56,12 +55,8 @@ struct FileSource {
   std::vector<AllowDirective> allows;
 };
 
-bool ident_start(char c);
-bool ident_char(char c);
-
-/// Tokenizes C++ source: skips comments, string/char literals (including raw
-/// strings), and preprocessor lines (capturing #include targets and
-/// rahooi-lint/rahooi-analyze allow directives).
+/// Tokenizes C++ source: skips comments, char literals and preprocessor
+/// lines (capturing #include targets and allow directives).
 FileSource tokenize(const std::string& src);
 
 /// Index of the first token of the qualified-id chain ending at `i`
@@ -87,12 +82,11 @@ const std::set<std::string>& collective_methods();
 /// value) is a bug: the guarded region collapses to nothing.
 const std::set<std::string>& guard_types();
 
-/// Finds an unused allow directive for (tool, rule) covering `line` (the
+/// Finds an unused allow directive for `rule` covering `line` (the
 /// directive's own line or the line directly above). Marks it used and
-/// returns its index, or npos. `tool` is "lint" or "analyze".
+/// returns its index, or npos.
 std::size_t match_allow(std::vector<AllowDirective>& allows,
-                        std::string_view tool, std::string_view rule,
-                        int line);
+                        std::string_view rule, int line);
 
 bool read_file(const std::filesystem::path& p, std::string& out);
 

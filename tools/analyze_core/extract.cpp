@@ -366,17 +366,14 @@ void parse_body(const std::vector<Token>& t, std::size_t body_open,
     if ((tok.text == "wait" || tok.text == "wait_for" ||
          tok.text == "wait_until") &&
         prev(1) == "." && next(1) == "(") {
-      bool recorded = false;
       if (j + 2 < t.size() && t[j + 2].kind == TokKind::ident) {
         if (GuardVar* g = find_guard(t[j + 2].text)) {
           if (g->active && !g->locks.empty()) {
             fn.waits.push_back(
                 CvWait{g->locks.front(), tok.line, held_locks(guards)});
-            recorded = true;
           }
         }
       }
-      (void)recorded;
       continue;
     }
 
@@ -417,7 +414,7 @@ void parse_body(const std::vector<Token>& t, std::size_t body_open,
           !member &&
           (s == 0 || before == ";" || before == "{" || before == "}") &&
           after < t.size() && t[after].text == ";";
-      fn.calls.push_back(CallSite{tok.text, qual, tok.line, member,
+      fn.calls.push_back(CallSite{tok.text, qual, tok.line,
                                   under_rank(), !span_depths.empty(),
                                   discarded, held_locks(guards)});
       continue;
@@ -477,7 +474,8 @@ bool scan_returns_guard(const std::vector<Token>& t, std::size_t s) {
 }  // namespace
 
 std::vector<FunctionSummary> extract(const FileSource& f,
-                                     const std::string& rel) {
+                                     const std::string& rel,
+                                     std::set<std::string>& span_classes) {
   const std::vector<Token>& t = f.tokens;
   std::vector<FunctionSummary> out;
 
@@ -510,6 +508,16 @@ std::vector<FunctionSummary> extract(const FileSource& f,
       continue;
     }
     if (tok.kind != TokKind::ident) continue;
+
+    // A TraceSpan data member (`prof::TraceSpan root_;`) at class scope.
+    if (tok.text == "TraceSpan" && !stack.empty() && stack.back().is_class &&
+        stack.back().depth == depth && i + 2 < t.size() &&
+        t[i + 1].kind == TokKind::ident &&
+        (t[i + 2].text == ";" || t[i + 2].text == "{" ||
+         t[i + 2].text == "=")) {
+      span_classes.insert(stack.back().name);
+      continue;
+    }
 
     // Namespace scopes (incl. `namespace a::b {`; alias and anonymous forms
     // handled).
@@ -608,11 +616,26 @@ std::vector<FunctionSummary> extract(const FileSource& f,
         bare = "~" + bare;
         qual_start = chain_start(t, s - 1);
       }
+      // A template class qualifier (`SolveSession<T>::begin_step`).
+      while (qual_start >= 2 && t[qual_start].text == "::" &&
+             t[qual_start - 1].text == ">") {
+        std::size_t k = qual_start - 1;
+        for (int d = 0; k > 0; --k) {
+          if (t[k].text == ">") ++d;
+          if (t[k].text == "<" && --d == 0) break;
+        }
+        if (k == 0 || t[k - 1].kind != TokKind::ident) break;
+        qual_start = chain_start(t, k - 1);
+      }
       std::string qual;
       for (std::size_t k = qual_start; k + 1 < i; ++k) {
-        if (t[k].kind == TokKind::ident && t[k + 1].text == "::") {
+        if (t[k].kind != TokKind::ident) continue;
+        std::size_t n = k + 1;
+        if (t[n].text == "<") n = after_matching_angle(t, n);
+        if (n < i && t[n].text == "::") {
           if (!qual.empty()) qual += "::";
           qual += t[k].text;
+          k = n;
         }
       }
       // Enclosing class for member-lock canonicalization.
@@ -627,54 +650,37 @@ std::vector<FunctionSummary> extract(const FileSource& f,
       }
       const bool returns_guard = scan_returns_guard(t, qual_start);
 
-      if (is_def) {
-        FunctionSummary fn;
-        fn.bare = bare;
-        fn.file = rel;
-        fn.line = tok.line;
-        fn.returns_guard = returns_guard;
-        fn.has_body = true;
-        std::string full;
-        for (const Scope& sc : stack) {
-          if (sc.name.empty()) continue;
-          if (!full.empty()) full += "::";
-          full += sc.name;
-        }
-        if (!qual.empty()) {
-          if (!full.empty()) full += "::";
-          full += qual;
-        }
-        fn.name = full.empty() ? bare : full + "::" + bare;
-        const std::size_t body_close = after_matching_brace(t, body_open) - 1;
-        parse_body(t, body_open, body_close, cls, fn);
-        out.push_back(std::move(fn));
-        i = body_close;
-        continue;
-      }
       // Declarations only matter when they carry a guard return type (the
       // cross-TU guard-discard rule resolves against them too).
-      if (returns_guard) {
-        FunctionSummary fn;
-        fn.bare = bare;
-        fn.file = rel;
-        fn.line = tok.line;
-        fn.returns_guard = true;
-        fn.has_body = false;
-        std::string full;
-        for (const Scope& sc : stack) {
-          if (sc.name.empty()) continue;
-          if (!full.empty()) full += "::";
-          full += sc.name;
-        }
-        if (!qual.empty()) {
-          if (!full.empty()) full += "::";
-          full += qual;
-        }
-        fn.name = full.empty() ? bare : full + "::" + bare;
-        out.push_back(std::move(fn));
+      if (!is_def && !returns_guard) {
+        i = j;
+        continue;
       }
-      // Skip past the declarator so default-argument expressions are not
-      // misread as statements.
+      FunctionSummary fn;
+      fn.bare = bare;
+      fn.file = rel;
+      fn.cls = cls;
+      fn.line = tok.line;
+      fn.returns_guard = returns_guard;
+      std::string full;
+      for (const Scope& sc : stack) {
+        if (sc.name.empty()) continue;
+        if (!full.empty()) full += "::";
+        full += sc.name;
+      }
+      if (!qual.empty()) {
+        if (!full.empty()) full += "::";
+        full += qual;
+      }
+      fn.name = full.empty() ? bare : full + "::" + bare;
+      if (is_def) {
+        const std::size_t body_close = after_matching_brace(t, body_open) - 1;
+        parse_body(t, body_open, body_close, cls, fn);
+        j = body_close;
+      }
+      out.push_back(std::move(fn));
+      // Skip past the declarator (or body) so default-argument expressions
+      // are not misread as statements.
       i = j;
       continue;
     }

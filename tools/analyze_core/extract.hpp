@@ -29,6 +29,10 @@
 //     statement position (for the cross-TU guard-discard rule).
 //   * direct guard-type temporaries discarded at statement position.
 //
+// Per file it also records the classes that declare a prof::TraceSpan data
+// member: their member functions run under that span for the object's
+// whole lifetime (span-chain's RAII-member case, e.g. SolveSession::root_).
+//
 // There is no preprocessing and no name lookup: this is a deliberately
 // conservative token-level model, tuned against the real tree (see the
 // clean-run ctest `analyze_repo`).
@@ -36,6 +40,7 @@
 #ifndef RAHOOI_TOOLS_ANALYZE_EXTRACT_HPP
 #define RAHOOI_TOOLS_ANALYZE_EXTRACT_HPP
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -55,7 +60,6 @@ struct CallSite {
   std::string name;  ///< bare callee name
   std::string qual;  ///< qualifier chain as written ("serve::detail", "Scheduler") or ""
   int line = 0;
-  bool member_call = false;  ///< receiver call (x.f(...) / x->f(...))
   bool under_rank = false;
   bool live_span = false;
   bool discarded_stmt = false;  ///< whole statement is `call(...);`
@@ -83,9 +87,9 @@ struct FunctionSummary {
   std::string name;   ///< scope-qualified, e.g. "serve::Scheduler::worker_loop"
   std::string bare;   ///< last component, e.g. "worker_loop"
   std::string file;   ///< root-relative path
+  std::string cls;    ///< enclosing class, "" for free functions
   int line = 0;
   bool returns_guard = false;  ///< declared return type is a guard type
-  bool has_body = false;       ///< definition (false: guard-returning decl)
   std::vector<CollectiveUse> collectives;
   std::vector<CallSite> calls;
   std::vector<LockAcq> locks;
@@ -95,9 +99,11 @@ struct FunctionSummary {
 
 /// Extracts all function definitions (and guard-returning declarations) from
 /// a tokenized file. `rel` is the root-relative path recorded on each
-/// summary.
+/// summary; classes with a TraceSpan data member are added to
+/// `span_classes`.
 std::vector<FunctionSummary> extract(const FileSource& f,
-                                     const std::string& rel);
+                                     const std::string& rel,
+                                     std::set<std::string>& span_classes);
 
 }  // namespace analyze
 

@@ -2,7 +2,7 @@
 // committed repo-root baseline and exits nonzero on regression, so CI can
 // catch performance/convergence drift without a human eyeballing numbers.
 //
-// Deliberately dependency-free (no library link, like rahooi_lint): a small
+// Deliberately dependency-free (no library link, like rahooi_analyze): a small
 // recursive-descent JSON reader flattens every numeric leaf to a dotted key
 // ("benchmarks.3.gflops", "rel_error") and the two flattened maps are
 // compared key by key:

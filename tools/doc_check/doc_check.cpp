@@ -1,6 +1,6 @@
 // Documentation lint (tier-1, ctest -L lint): keeps the operator docs and
 // the code they describe from drifting apart. Four checks, all
-// dependency-free (no library link, like rahooi_lint):
+// dependency-free (no library link, like rahooi_analyze):
 //
 //  1. Doc-map coverage — every docs/*.md is reachable from docs/INDEX.md,
 //     and README.md points at the index.

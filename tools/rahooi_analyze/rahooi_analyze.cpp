@@ -1,37 +1,18 @@
-// rahooi_analyze — whole-program (cross-translation-unit) static analyzer
-// for the invariants a single-file token lint cannot see. Two passes
-// (DESIGN.md §14, docs/STATIC_ANALYSIS.md):
+// rahooi_analyze — the project's static checker (DESIGN.md §14,
+// docs/STATIC_ANALYSIS.md): invariants that neither the compiler nor -Wall
+// can see, checked over the tokens tools/analyze_core produces (comments,
+// literals and preprocessor lines handled; no preprocessing or name lookup).
+// Rules come in two kinds, listed in one registry (kRules below):
 //
-//   pass 1  tools/analyze_core extracts one FunctionSummary per function
-//           definition: collectives used, rank-dependent control flow,
-//           lock acquisitions (with the held set), cv-waits, TraceSpan
-//           liveness, call sites, discarded guard temporaries.
-//   pass 2  summaries are linked through a name-resolution index and
-//           propagated to a fixpoint over the call graph; rules fire on
-//           the propagated facts.
-//
-// Rules:
-//   spmd-divergence     a collective reachable under rank-dependent control
-//                       flow (src/core, src/dist, src/comm) — the classic
-//                       `if (rank == 0) bcast` divergent-schedule bug,
-//                       caught through call chains.
-//   lock-cycle          a cycle (or self-edge) in the global lock-order
-//                       graph, built from direct nested acquisitions and
-//                       calls made while holding a lock into functions
-//                       that (transitively) acquire more locks.
-//   cv-wait-held-lock   a condition-variable wait while holding a second
-//                       lock (src/serve, src/comm, src/metrics, src/fault)
-//                       — the waited lock is released, the second is not,
-//                       starving every other thread that needs it.
-//   span-chain          a collective reached from src/core / src/dist with
-//                       no live prof::TraceSpan anywhere on the call path —
-//                       the cross-TU completion of lint's collective-span.
-//   guard-discard       a guard-returning function whose result is
-//                       discarded at statement position, and direct
-//                       guard-type temporaries (cross-TU completion of
-//                       lint's tracespan-discard).
-//   allow-syntax        a `rahooi-analyze: allow(...)` directive with an
-//                       empty reason or an unknown rule name.
+//   per-file       run on each file's token stream on its own: banned
+//                  tokens, the throw taxonomy, include order, temp paths.
+//   whole-program  pass 1 extracts one FunctionSummary per function
+//                  definition: collectives used, rank-dependent control
+//                  flow, lock acquisitions (with the held set), cv-waits,
+//                  TraceSpan liveness, call sites, discarded guard
+//                  temporaries. Pass 2 links the summaries through a
+//                  name-resolution index and propagates them to a fixpoint
+//                  over the call graph; rules fire on the propagated facts.
 //
 // Suppression: `// rahooi-analyze: allow(rule: reason)` on the finding's
 // line or the line above. The reason is mandatory; suppressions are counted
@@ -43,6 +24,7 @@
 //   rahooi_analyze --self-test <fixture-root>
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -50,6 +32,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -59,36 +42,120 @@
 namespace {
 
 namespace fs = std::filesystem;
+using analyze::after_matching_paren;
 using analyze::AllowDirective;
 using analyze::CallSite;
 using analyze::CollectiveUse;
 using analyze::CvWait;
 using analyze::FunctionSummary;
 using analyze::LockAcq;
+using analyze::Token;
+using analyze::TokKind;
 
-bool starts_with(const std::string& s, const char* prefix) {
-  return s.rfind(prefix, 0) == 0;
-}
-
-bool in_spmd_zone(const std::string& rel) {
-  return starts_with(rel, "src/core/") || starts_with(rel, "src/dist/") ||
-         starts_with(rel, "src/comm/");
-}
-bool in_span_zone(const std::string& rel) {
-  return starts_with(rel, "src/core/") || starts_with(rel, "src/dist/");
-}
-bool in_cv_zone(const std::string& rel) {
-  return starts_with(rel, "src/serve/") || starts_with(rel, "src/comm/") ||
-         starts_with(rel, "src/metrics/") || starts_with(rel, "src/fault/");
+bool starts_with(std::string_view s, std::string_view prefix) {
+  return s.substr(0, prefix.size()) == prefix;
 }
 
-const std::set<std::string>& known_rules() {
-  static const std::set<std::string> kRules{
-      "spmd-divergence", "lock-cycle", "cv-wait-held-lock",
-      "span-chain",      "guard-discard", "allow-syntax",
-  };
-  return kRules;
+/// True when root-relative `rel` lies in `scope`: a space-separated list of
+/// path prefixes, where a prefix written with a leading '-' excludes. An
+/// empty list of (non-excluding) prefixes covers every file.
+bool in_scope(std::string_view scope, std::string_view rel) {
+  bool any_include = false;
+  bool included = false;
+  while (!scope.empty()) {
+    const std::size_t sp = scope.find(' ');
+    const std::string_view prefix = scope.substr(0, sp);
+    scope = sp == std::string_view::npos ? "" : scope.substr(sp + 1);
+    if (starts_with(prefix, "-")) {
+      if (starts_with(rel, prefix.substr(1))) return false;
+    } else if (!prefix.empty()) {
+      any_include = true;
+      included = included || starts_with(rel, prefix);
+    }
+  }
+  return included || !any_include;
 }
+
+struct Rule {
+  const char* name;
+  const char* scope;  ///< files the rule reports in (see in_scope)
+};
+
+/// The rule registry. A finding outside its rule's scope is dropped.
+constexpr Rule kRules[] = {
+    // Library code must not write to the process streams (cout, cerr,
+    // printf): it runs replicated on every rank. Use std::fprintf(stderr,
+    // ...) at designated report sites and snprintf for formatting.
+    {"no-cout", "src/"},
+    // rand()/srand(): randomness goes through the counter-based
+    // rahooi::rng so runs stay deterministic and rank-reproducible.
+    {"no-rand", "src/"},
+    // Naked new/delete expressions (operator-new allocator implementations
+    // and `= delete` declarations are fine): ownership goes through
+    // containers and smart pointers.
+    {"no-naked-new", "src/"},
+    // Sleeping: delays belong to fault injection only; anywhere else they
+    // hide real schedule hazards.
+    {"no-sleep", "src/ -src/fault/"},
+    // std::chrono::steady_clock outside the sanctioned clock sites: timing
+    // goes through stats::now() so prof spans and metrics histograms share
+    // one clock and stay comparable.
+    {"raw-steady-clock",
+     "src/ -src/prof/ -src/metrics/ -src/common/stats.cpp"},
+    // Every `throw` uses the rahooi error taxonomy (comm/errors.hpp,
+    // common/contracts.hpp, core/checkpoint.hpp, fault/fault.hpp) so
+    // Runtime::run failure classification stays exhaustive.
+    {"throw-taxonomy", "src/ bench/ examples/"},
+    // `catch (comm::CommError)` lexically inside a loop is a hand-rolled
+    // retry: unbounded, unjittered and uncounted. Retries go through
+    // fault::with_retry or the serve scheduler's RetryPolicy.
+    {"raw-retry-loop", "src/ -src/fault/"},
+    // A .cpp with a same-stem sibling header includes it first, which
+    // proves the header is self-contained.
+    {"include-order", "src/ bench/ examples/"},
+    // A std::ofstream aimed at a status/exposition path: those files have
+    // concurrent readers, so publishes go through obs::write_atomic
+    // (tmp+rename) and a scraper never reads a torn file.
+    {"raw-status-write", "src/ -src/obs/"},
+    // `TempDir() + "name"`: the suite is built into two binaries that a
+    // parallel ctest runs at once, so temp paths carry the pid; build them
+    // with unique_tmp_path(name).
+    {"test-tmp-path", "tests/ -tests/test_util.hpp"},
+    // A collective reachable under rank-dependent control flow, directly or
+    // through a call chain: the `if (rank == 0) bcast` divergent-schedule
+    // bug.
+    {"spmd-divergence", "src/core/ src/dist/ src/comm/"},
+    // A cycle (or self-edge) in the global lock-order graph, built from
+    // nested acquisitions and calls made while holding a lock into
+    // functions that (transitively) acquire more locks.
+    {"lock-cycle", "src/"},
+    // A condition-variable wait while holding a second lock: the waited
+    // lock is released, the second is not, starving its other users.
+    {"cv-wait-held-lock", "src/serve/ src/comm/ src/metrics/ src/fault/"},
+    // A collective reached with no live prof::TraceSpan, directly or
+    // anywhere on the call path, so watchdog and schedule-divergence
+    // reports would have no span path. A lexically live span covers a
+    // call, and so does a TraceSpan data member of the function's class.
+    {"span-chain", "src/core/ src/dist/"},
+    // An RAII guard (TraceSpan, CollectiveScope, lock_guard, ...)
+    // constructed as a discarded temporary, or a discarded call to a
+    // guard-returning function: the guarded region collapses to nothing.
+    {"guard-discard", "src/ bench/ examples/"},
+    // An allow directive with an empty reason or an unknown rule name.
+    {"allow-syntax", ""},
+};
+
+const Rule* find_rule(std::string_view name) {
+  for (const Rule& r : kRules) {
+    if (name == r.name) return &r;
+  }
+  return nullptr;
+}
+
+/// Calls resolve only to functions defined in library code: tests, benches
+/// and examples reuse short helper names, and bare-name resolution would
+/// bind library calls to them.
+constexpr std::string_view kCallees = "src/";
 
 struct Finding {
   std::string rule;
@@ -96,7 +163,7 @@ struct Finding {
   int line = 0;
   std::string function;
   std::string message;
-  std::vector<std::string> chain;
+  std::vector<std::string> chain = {};
   bool suppressed = false;
   std::string reason = {};  ///< the allow reason when suppressed
 };
@@ -104,6 +171,8 @@ struct Finding {
 struct Analysis {
   std::vector<FunctionSummary> fns;
   std::map<std::string, std::vector<AllowDirective>> allows;  // by rel path
+  std::vector<Finding> file_findings;  // from the per-file rules
+  std::set<std::string> span_classes;  // classes with a TraceSpan member
   std::size_t file_count = 0;
 
   // Name-resolution index and per-call resolution (computed once).
@@ -127,6 +196,11 @@ struct Analysis {
   Fact exposed;         // reaches a collective with no span on the path
   Fact has_wait;        // reaches a cv-wait
   std::vector<std::set<std::string>> acq;  // transitively acquired locks
+
+  /// The function's class holds a live TraceSpan member while it runs.
+  bool member_span(const FunctionSummary& f) const {
+    return !f.cls.empty() && span_classes.count(f.cls) != 0;
+  }
 };
 
 std::vector<int> resolve_call(const Analysis& a, const CallSite& c) {
@@ -149,7 +223,9 @@ std::vector<int> resolve_call(const Analysis& a, const CallSite& c) {
 
 void build_index(Analysis& a) {
   for (std::size_t i = 0; i < a.fns.size(); ++i) {
-    a.by_bare[a.fns[i].bare].push_back(static_cast<int>(i));
+    if (in_scope(kCallees, a.fns[i].file)) {
+      a.by_bare[a.fns[i].bare].push_back(static_cast<int>(i));
+    }
   }
   a.resolved.resize(a.fns.size());
   for (std::size_t i = 0; i < a.fns.size(); ++i) {
@@ -175,7 +251,8 @@ void run_fixpoints(Analysis& a) {
         a.may_collective.on[i] = 1;
         a.may_collective.direct[i] = static_cast<int>(k);
       }
-      if (!f.collectives[k].live_span && !a.exposed.on[i]) {
+      if (!f.collectives[k].live_span && !a.member_span(f) &&
+          !a.exposed.on[i]) {
         a.exposed.on[i] = 1;
         a.exposed.direct[i] = static_cast<int>(k);
       }
@@ -201,7 +278,8 @@ void run_fixpoints(Analysis& a) {
             a.may_collective.via_callee[i] = j;
             changed = true;
           }
-          if (a.exposed.on[j] && !call.live_span && !a.exposed.on[i]) {
+          if (a.exposed.on[j] && !call.live_span &&
+              !a.member_span(a.fns[i]) && !a.exposed.on[i]) {
             a.exposed.on[i] = 1;
             a.exposed.via_call[i] = static_cast<int>(c);
             a.exposed.via_callee[i] = j;
@@ -261,7 +339,6 @@ std::vector<std::string> trace_chain(const Analysis& a,
 void rule_spmd(const Analysis& a, std::vector<Finding>& out) {
   for (std::size_t i = 0; i < a.fns.size(); ++i) {
     const FunctionSummary& f = a.fns[i];
-    if (!in_spmd_zone(f.file)) continue;
     for (const CollectiveUse& u : f.collectives) {
       if (!u.under_rank) continue;
       out.push_back(Finding{
@@ -393,7 +470,6 @@ void rule_lock_cycle(const Analysis& a, std::vector<Finding>& out) {
 void rule_cv_wait(const Analysis& a, std::vector<Finding>& out) {
   for (std::size_t i = 0; i < a.fns.size(); ++i) {
     const FunctionSummary& f = a.fns[i];
-    if (!in_cv_zone(f.file)) continue;
     for (const CvWait& w : f.waits) {
       if (w.held.size() < 2) continue;
       std::string others;
@@ -433,7 +509,16 @@ void rule_cv_wait(const Analysis& a, std::vector<Finding>& out) {
 void rule_span_chain(const Analysis& a, std::vector<Finding>& out) {
   for (std::size_t i = 0; i < a.fns.size(); ++i) {
     const FunctionSummary& f = a.fns[i];
-    if (!in_span_zone(f.file)) continue;
+    if (a.member_span(f)) continue;
+    for (const CollectiveUse& u : f.collectives) {
+      if (u.live_span) continue;
+      out.push_back(Finding{
+          "span-chain", f.file, u.line, f.name,
+          "collective " + u.op +
+              "() invoked without a live prof::TraceSpan in an enclosing "
+              "scope; watchdog and schedule-divergence reports would have "
+              "no span path"});
+    }
     for (std::size_t c = 0; c < f.calls.size(); ++c) {
       const CallSite& call = f.calls[c];
       if (call.live_span) continue;
@@ -482,6 +567,150 @@ void rule_guard_discard(const Analysis& a, std::vector<Finding>& out) {
 }
 
 // ---------------------------------------------------------------------------
+// Per-file rules
+// ---------------------------------------------------------------------------
+
+void file_rules(const analyze::FileSource& f, const fs::path& real,
+                const std::string& rel, std::vector<Finding>& out) {
+  const std::vector<Token>& t = f.tokens;
+  const auto add = [&](int line, const char* rule, std::string msg) {
+    out.push_back(Finding{rule, rel, line, "", std::move(msg)});
+  };
+
+  int depth = 0;                      // brace depth
+  std::vector<int> loop_body_depths;  // depths of open for/while/do bodies
+  std::set<std::size_t> loop_brace_idx;  // token indices of loop-body `{`
+
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    const Token& tok = t[i];
+    const auto prev_text = [&](std::size_t back) -> std::string_view {
+      return i >= back ? std::string_view(t[i - back].text)
+                       : std::string_view();
+    };
+    const auto next_text = [&](std::size_t fwd) -> std::string_view {
+      return i + fwd < t.size() ? std::string_view(t[i + fwd].text)
+                                : std::string_view();
+    };
+
+    if (tok.text == "{") {
+      ++depth;
+      if (loop_brace_idx.count(i) != 0) loop_body_depths.push_back(depth);
+    }
+    if (tok.text == "}") {
+      --depth;
+      while (!loop_body_depths.empty() && loop_body_depths.back() > depth) {
+        loop_body_depths.pop_back();
+      }
+    }
+
+    if (tok.kind != TokKind::ident) continue;
+
+    // Mark the body brace of `for (...) {` / `while (...) {` / `do {` so the
+    // raw-retry-loop rule knows when a token sits lexically inside a loop.
+    if ((tok.text == "for" || tok.text == "while") && next_text(1) == "(") {
+      const std::size_t after = after_matching_paren(t, i + 1);
+      if (after < t.size() && t[after].text == "{") loop_brace_idx.insert(after);
+    }
+    if (tok.text == "do" && next_text(1) == "{") loop_brace_idx.insert(i + 1);
+
+    if (tok.text == "cout" || tok.text == "cerr" || tok.text == "printf") {
+      add(tok.line, "no-cout",
+          "library code must not write to process streams with " + tok.text +
+              " (use std::fprintf(stderr, ...) at designated report sites)");
+    } else if ((tok.text == "rand" || tok.text == "srand") &&
+               next_text(1) == "(") {
+      add(tok.line, "no-rand",
+          tok.text + "() breaks deterministic replay; use rahooi::rng");
+    } else if (tok.text == "new" && prev_text(1) != "operator") {
+      add(tok.line, "no-naked-new",
+          "naked new expression; use containers or smart pointers");
+    } else if (tok.text == "delete" && prev_text(1) != "operator" &&
+               prev_text(1) != "=") {
+      add(tok.line, "no-naked-new",
+          "naked delete expression; use containers or smart pointers");
+    } else if (tok.text == "sleep" || tok.text == "usleep" ||
+               tok.text == "nanosleep" || tok.text == "sleep_for" ||
+               tok.text == "sleep_until" || tok.text == "sleep_ms") {
+      add(tok.line, "no-sleep",
+          "sleeping outside src/fault hides real schedule hazards");
+    } else if (tok.text == "steady_clock") {
+      add(tok.line, "raw-steady-clock",
+          "raw std::chrono::steady_clock in library code; call stats::now() "
+          "(common/stats.hpp) so prof spans and metrics histograms share "
+          "one clock");
+    } else if (tok.text == "throw" && next_text(1) != ";") {
+      // Walk the qualified-id after `throw`; the last identifier before the
+      // constructor call must be a taxonomy type.
+      std::size_t j = i + 1;
+      std::string last_ident;
+      while (j < t.size() &&
+             (t[j].kind == TokKind::ident || t[j].text == "::")) {
+        if (t[j].kind == TokKind::ident) last_ident = t[j].text;
+        ++j;
+      }
+      if (analyze::taxonomy_types().count(last_ident) == 0) {
+        add(tok.line, "throw-taxonomy",
+            "throw site must use the rahooi error taxonomy "
+            "(comm/errors.hpp et al.), got: " +
+                (last_ident.empty() ? std::string("<expression>")
+                                    : last_ident));
+      }
+    } else if (tok.text == "catch" && next_text(1) == "(" &&
+               !loop_body_depths.empty()) {
+      const std::size_t after = after_matching_paren(t, i + 1);
+      for (std::size_t j = i + 2; j < after; ++j) {
+        if (t[j].text == "CommError") {
+          add(tok.line, "raw-retry-loop",
+              "hand-rolled retry: catch of comm::CommError inside a loop; "
+              "route retries through fault::with_retry (bounded, "
+              "deterministic, counted) or serve::RetryPolicy");
+          break;
+        }
+      }
+    } else if (tok.text == "ofstream") {
+      // Scan the declaration statement for a status/exposition name.
+      for (std::size_t j = i + 1; j < t.size() && t[j].text != ";"; ++j) {
+        if (t[j].kind != TokKind::ident) continue;
+        std::string lower = t[j].text;
+        std::transform(lower.begin(), lower.end(), lower.begin(),
+                       [](unsigned char c) { return std::tolower(c); });
+        if (lower.find("status") != std::string::npos ||
+            lower.find("exposition") != std::string::npos ||
+            lower.find("prom") != std::string::npos) {
+          add(tok.line, "raw-status-write",
+              "direct std::ofstream write to a status/exposition path; "
+              "publish through obs::write_atomic (tmp+rename) so a "
+              "concurrent scraper never reads a torn file");
+          break;
+        }
+      }
+    } else if (tok.text == "TempDir" && next_text(1) == "(" &&
+               next_text(2) == ")" && next_text(3) == "+" &&
+               i + 4 < t.size() && t[i + 4].kind == TokKind::string) {
+      add(tok.line, "test-tmp-path",
+          "fixed temp file name; two test binaries run at once under a "
+          "parallel ctest, so use unique_tmp_path(name) (tests/test_util.hpp)");
+    }
+  }
+
+  // include-order: the sibling header is looked up next to the file on
+  // disk, and named as the file's root-relative path names it.
+  if (real.extension() != ".cpp") return;
+  const fs::path sibling = fs::path(real).replace_extension(".hpp");
+  std::error_code ec;
+  if (!fs::exists(sibling, ec)) return;
+  const std::string expect = fs::path(rel).stem().string() + ".hpp";
+  if (f.includes.empty()) {
+    add(1, "include-order",
+        "has sibling header " + expect + " but no includes; include it first");
+  } else if (fs::path(f.includes.front().first).filename() != expect) {
+    add(f.includes.front().second, "include-order",
+        "first include must be the file's own header " + expect + " (got \"" +
+            f.includes.front().first + "\")");
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Driver
 // ---------------------------------------------------------------------------
 
@@ -493,8 +722,10 @@ int load_file(Analysis& a, const fs::path& real, const std::string& rel) {
     return 2;
   }
   analyze::FileSource f = analyze::tokenize(src);
-  std::vector<FunctionSummary> fns = analyze::extract(f, rel);
-  for (FunctionSummary& fn : fns) a.fns.push_back(std::move(fn));
+  file_rules(f, real, rel, a.file_findings);
+  for (FunctionSummary& fn : analyze::extract(f, rel, a.span_classes)) {
+    a.fns.push_back(std::move(fn));
+  }
   a.allows[rel] = std::move(f.allows);
   ++a.file_count;
   return 0;
@@ -503,42 +734,43 @@ int load_file(Analysis& a, const fs::path& real, const std::string& rel) {
 std::vector<Finding> run_rules(Analysis& a) {
   build_index(a);
   run_fixpoints(a);
-  std::vector<Finding> findings;
+  std::vector<Finding> findings = std::move(a.file_findings);
   rule_spmd(a, findings);
   rule_lock_cycle(a, findings);
   rule_cv_wait(a, findings);
   rule_span_chain(a, findings);
   rule_guard_discard(a, findings);
 
-  // Suppression: an unused analyze allow for the rule on the finding's line
-  // or the line above.
-  for (Finding& fd : findings) {
-    auto it = a.allows.find(fd.file);
-    if (it == a.allows.end()) continue;
-    const std::size_t k =
-        analyze::match_allow(it->second, "analyze", fd.rule, fd.line);
-    if (k != static_cast<std::size_t>(-1)) {
-      fd.suppressed = true;
-      fd.reason = it->second[k].reason;
-    }
-  }
-
   // Directive hygiene: reasons are mandatory, rule names must exist.
-  for (auto& [rel, allows] : a.allows) {
+  for (const auto& [rel, allows] : a.allows) {
     for (const AllowDirective& d : allows) {
-      if (d.tool != "analyze") continue;
       if (d.reason.empty()) {
         findings.push_back(Finding{
             "allow-syntax", rel, d.line, "",
             "allow(" + d.rule +
                 ") has no reason; the justification is mandatory "
-                "(rahooi-analyze: allow(rule: reason))",
-            {}});
-      } else if (known_rules().count(d.rule) == 0) {
-        findings.push_back(Finding{
-            "allow-syntax", rel, d.line, "",
-            "allow names unknown rule '" + d.rule + "'", {}});
+                "(rahooi-analyze: allow(rule: reason))"});
+      } else if (find_rule(d.rule) == nullptr) {
+        findings.push_back(Finding{"allow-syntax", rel, d.line, "",
+                                   "allow names unknown rule '" + d.rule +
+                                       "'"});
       }
+    }
+  }
+
+  std::erase_if(findings, [](const Finding& fd) {
+    return !in_scope(find_rule(fd.rule)->scope, fd.file);
+  });
+
+  // Suppression: an unused allow for the rule on the finding's line or the
+  // line above.
+  for (Finding& fd : findings) {
+    auto it = a.allows.find(fd.file);
+    if (it == a.allows.end()) continue;
+    const std::size_t k = analyze::match_allow(it->second, fd.rule, fd.line);
+    if (k != static_cast<std::size_t>(-1)) {
+      fd.suppressed = true;
+      fd.reason = it->second[k].reason;
     }
   }
 
@@ -609,6 +841,21 @@ bool write_json(const fs::path& path, const Analysis& a,
   return out.good();
 }
 
+/// Appends the .cpp/.hpp files under `dir` to `files`. A fixture tree holds
+/// seeded violations on purpose; only --self-test reads it.
+void add_sources(const fs::path& dir, std::vector<fs::path>& files) {
+  for (auto it = fs::recursive_directory_iterator(dir);
+       it != fs::recursive_directory_iterator(); ++it) {
+    if (it->is_directory() && it->path().filename() == "analyze_fixtures") {
+      it.disable_recursion_pending();
+    }
+    const fs::path ext = it->path().extension();
+    if (it->is_regular_file() && (ext == ".cpp" || ext == ".hpp")) {
+      files.push_back(it->path());
+    }
+  }
+}
+
 int run_analyze(const fs::path& root, const std::vector<std::string>& paths,
                 const std::string& json_out) {
   std::vector<fs::path> files;
@@ -616,11 +863,7 @@ int run_analyze(const fs::path& root, const std::vector<std::string>& paths,
     fs::path full = fs::path(p).is_absolute() ? fs::path(p) : root / p;
     std::error_code ec;
     if (fs::is_directory(full, ec)) {
-      for (const auto& entry : fs::recursive_directory_iterator(full)) {
-        if (!entry.is_regular_file()) continue;
-        const fs::path ext = entry.path().extension();
-        if (ext == ".cpp" || ext == ".hpp") files.push_back(entry.path());
-      }
+      add_sources(full, files);
     } else if (fs::exists(full, ec)) {
       files.push_back(full);
     } else {
@@ -664,10 +907,11 @@ int run_analyze(const fs::path& root, const std::vector<std::string>& paths,
 }
 
 /// Fixture self-test: each subdirectory of the fixture root is analyzed as
-/// its own mini-tree. `bad_<rule>/` must yield exactly one unsuppressed
-/// finding of rule <rule> (underscores map to dashes); `clean*/` must yield
-/// none. File names map to tree paths: `core__x.cpp` is analyzed as
-/// `src/core/x.cpp`.
+/// its own mini-tree. `bad_<rule>/` (or `bad_<rule>.<variant>/`) must yield
+/// exactly one unsuppressed finding of rule <rule> (underscores map to
+/// dashes); `clean*/` must yield none. File names map to tree paths:
+/// `core__x.cpp` is analyzed as `src/core/x.cpp`, `tests__x.cpp` as
+/// `tests/x.cpp`.
 int run_self_test(const fs::path& dir) {
   std::error_code ec;
   if (!fs::is_directory(dir, ec)) {
@@ -687,19 +931,17 @@ int run_self_test(const fs::path& dir) {
     const std::string name = c.filename().string();
     Analysis a;
     std::vector<fs::path> files;
-    for (const auto& entry : fs::directory_iterator(c)) {
-      if (!entry.is_regular_file()) continue;
-      const fs::path ext = entry.path().extension();
-      if (ext == ".cpp" || ext == ".hpp") files.push_back(entry.path());
-    }
+    add_sources(c, files);
     std::sort(files.begin(), files.end());
     for (const fs::path& file : files) {
-      std::string rel = file.filename().string();
-      std::size_t pos;
-      while ((pos = rel.find("__")) != std::string::npos) {
-        rel.replace(pos, 2, "/");
+      const std::string flat = file.filename().string();
+      std::string rel;
+      for (std::size_t k = 0; k < flat.size(); ++k) {
+        const bool sep = flat.compare(k, 2, "__") == 0;
+        rel += sep ? '/' : flat[k];
+        k += sep ? 1 : 0;
       }
-      rel = "src/" + rel;
+      if (!starts_with(rel, "tests/")) rel = "src/" + rel;
       if (const int rc = load_file(a, file, rel); rc != 0) return rc;
     }
     const std::vector<Finding> findings = run_rules(a);
@@ -709,7 +951,7 @@ int run_self_test(const fs::path& dir) {
     }
 
     if (starts_with(name, "bad_")) {
-      std::string rule = name.substr(4);
+      std::string rule = name.substr(4, name.find('.') - 4);
       std::replace(rule.begin(), rule.end(), '_', '-');
       ++checked;
       if (unsup.size() != 1 || unsup.front()->rule != rule) {
