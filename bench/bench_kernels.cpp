@@ -2,10 +2,9 @@
 //
 //   bench_kernels [--quick] [out.json]
 //                            — default: times the packed GEMM/SYRK/TTM/Gram
-//                              kernels (plus the sketch-apply tall-skinny
-//                              GEMM, the Khatri-Rao fold and the EVD)
-//                              against the retained naive references at
-//                              representative HOOI shapes and writes
+//                              kernels (plus the EVD) against the retained
+//                              naive references at representative HOOI
+//                              shapes and writes
 //                              BENCH_kernels.json:
 //                              per-row deterministic "flops" (shape-derived,
 //                              diffed by the bench-diff ctest gate) plus
@@ -243,58 +242,6 @@ void bench_contraction(std::vector<JsonEntry>& out, const char* tag) {
                  gf, ref});
 }
 
-/// The sketch-apply GEMM of dist_sketch_mode's mode-0 fast path: the local
-/// (m x K) unfolding times the tall-skinny (K x s) Omega block, s = r + p.
-template <typename T>
-void bench_gemm_sketch_shape(std::vector<JsonEntry>& out, const char* tag) {
-  const idx_t m = 64, k = 8192, s = 24;
-  auto a = random_matrix<T>(m, k, 15);
-  auto b = random_matrix<T>(k, s, 16);
-  la::Matrix<T> c(m, s);
-  const double flops = 2.0 * static_cast<double>(m) * k * s;
-  const double gf = time_gflops(flops, [&] {
-    la::gemm<T>(la::Op::none, la::Op::none, T{1}, a, b, T{0}, c.ref());
-  });
-  const double ref = time_gflops(flops, [&] {
-    la::gemm_ref<T>(la::Op::none, la::Op::none, T{1}, a, b, T{0}, c.ref());
-  });
-  out.push_back({std::string("gemm_sketch_shape_") + tag, flops, gf, ref});
-}
-
-/// Row-wise Khatri-Rao fold building the structured sketch operator
-/// Omega = W_2 (krp) W_1 (krp) W_0: two la::khatri_rao folds of 16-row
-/// Gaussian factors into a 4096 x 24 block (one multiply per output entry).
-template <typename T>
-void bench_krp_apply(std::vector<JsonEntry>& out, const char* tag) {
-  const idx_t n = 16, s = 24;
-  auto w0 = random_matrix<T>(n, s, 17);
-  auto w1 = random_matrix<T>(n, s, 18);
-  auto w2 = random_matrix<T>(n, s, 19);
-  const double flops =
-      static_cast<double>(n) * n * s + static_cast<double>(n) * n * n * s;
-  const double gf = time_gflops(flops, [&] {
-    auto o01 = la::khatri_rao<T>(w1.cref(), w0.cref());
-    auto o = la::khatri_rao<T>(w2.cref(), o01.cref());
-    benchmark::DoNotOptimize(o.data());
-  });
-  // Naive reference: triple-indexed scalar loop over the full operator.
-  la::Matrix<T> o(n * n * n, s);
-  const double ref = time_gflops(flops, [&] {
-    for (idx_t t = 0; t < s; ++t) {
-      for (idx_t i2 = 0; i2 < n; ++i2) {
-        for (idx_t i1 = 0; i1 < n; ++i1) {
-          for (idx_t i0 = 0; i0 < n; ++i0) {
-            o(i0 + n * (i1 + n * i2), t) = w0(i0, t) * w1(i1, t) * w2(i2, t);
-          }
-        }
-      }
-    }
-    benchmark::DoNotOptimize(o.data());
-  });
-  out.push_back({std::string("krp_apply_") + tag + "_16x16x16_s24", flops, gf,
-                 ref});
-}
-
 /// The replicated Gram+EVD LLSV's sequential EVD at the sthosvd-synth mode
 /// size, on a Gram matrix (charged 9 n^3 like SYEV with vectors) against
 /// the retained EISPACK TRED2+TQL2 reference.
@@ -331,9 +278,6 @@ int run_json_report(const char* path) {
     bench_ttm<double>(mode, entries, "d");
   }
   bench_contraction<double>(entries, "d");
-  bench_gemm_sketch_shape<double>(entries, "d");
-  bench_gemm_sketch_shape<float>(entries, "s");
-  bench_krp_apply<double>(entries, "d");
   bench_sym_evd(entries);
 
   std::FILE* f = std::fopen(path, "w");

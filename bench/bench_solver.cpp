@@ -10,13 +10,12 @@
 //
 //   ./bench_solver [out.json]     (default BENCH_solver.json)
 //
-// A second section compares the sketched solver (sketched LLSV +
-// sketched ST-HOSVD warm start) against the subspace-iteration baseline
-// with the PR 1-5 random cold start, on miranda_like and hcci_like at
-// eps = 0.1 and 0.01: per-config flop totals, the flop ratio, both
-// relative errors, and the two acceptance booleans (`flops_reduced`,
-// `sketched_meets_eps`) are all deterministic and gated; the wall-clock
-// `*_seconds` fields are emitted for the record but ignored by the gate.
+// A second section runs the HOSI-DT solver with its random cold start on
+// miranda_like and hcci_like at eps = 0.1 and 0.01, from start ranks that
+// overshoot or undershoot: the per-config flop totals and relative errors
+// (`*_baseline_flops`, `*_baseline_rel_error`) are deterministic and gated;
+// the wall-clock `*_baseline_seconds` fields are emitted for the record but
+// ignored by the gate.
 
 #include <cstdio>
 #include <functional>
@@ -32,7 +31,7 @@ using namespace rahooi::bench;
 
 namespace {
 
-/// One rank-adaptive solve for the sketched-vs-baseline comparison.
+/// One rank-adaptive solve of a comparison config.
 struct CompareRun {
   double flops = 0.0;
   double rel_error = 0.0;
@@ -44,51 +43,19 @@ struct CompareCfg {
   double eps;
   std::vector<int> gdims;
   std::vector<idx_t> start_ranks;
-  // Sketched-arm knobs. The backend is a per-workload choice: dense Gaussian
-  // sketches pay one counter-RNG draw per entry of the n^(d-1)-row Omega —
-  // work the flop counters never see but the wall clock does — so they only
-  // make sense where that operator is small (miranda at 32^3), while the
-  // Khatri-Rao sketch draws just the tiny per-mode factors and builds rows
-  // as products (the Minster–Li–Ballard argument, measured by the krp_apply
-  // rows of bench_kernels), winning outright on the larger tensors at the
-  // price of a noisier tail estimator — hence the wider min_cols where KRP
-  // runs at tight eps.
-  core::SvdMethod method = core::SvdMethod::gaussian_sketch;
-  std::int64_t min_cols = 4;
-  double safety = 0.5;
   std::function<dist::DistTensor<double>(const dist::ProcessorGrid&)> make;
 };
 
-CompareRun ra_compare_run(int p, const CompareCfg& cfg, bool sketched) {
+CompareRun ra_compare_run(int p, const CompareCfg& cfg) {
   core::RankAdaptiveResult<double> ra;
   const RunResult run = timed_run(p, [&](comm::Comm& world) {
     auto grid = std::make_shared<dist::ProcessorGrid>(world, cfg.gdims);
     auto x = std::make_shared<dist::DistTensor<double>>(cfg.make(*grid));
-    return std::function<void()>([grid, x, &world, &ra, &cfg, sketched] {
+    return std::function<void()>([grid, x, &world, &ra, &cfg] {
       core::RankAdaptiveOptions opt;
       opt.tolerance = cfg.eps;
       opt.max_iters = 6;
       opt.continue_after_satisfied = false;
-      if (sketched) {
-        // The sketched solver's flop advantage in HOSI-DT lives in the
-        // warm start, not the leaves: the dimension tree already makes
-        // per-leaf LLSV a rounding error, but the cold start pays full
-        // HOOI iterations for every bad start-rank guess while the
-        // sketched ST-HOSVD seeds both factors and ranks in one
-        // O(N s) pass. Lean sketch knobs keep that pass cheap, and
-        // safety < 1 at tight eps hedges the tail estimator's variance
-        // so the seeded ranks actually meet eps on the first sweep — an
-        // undershoot costs a whole extra growth sweep, far more than
-        // the couple of extra columns the hedge carries.
-        opt.hooi.svd_method = cfg.method;
-        opt.init = core::RaInit::sketched_sthosvd;
-        opt.hooi.sketch.min_cols = cfg.min_cols;
-        opt.hooi.sketch.oversample = 2;
-        opt.hooi.sketch.growth = 2.0;
-        opt.hooi.sketch.safety = cfg.safety;
-      } else {
-        opt.init = core::RaInit::random_factors;
-      }
       auto res = core::rank_adaptive_hooi(*x, cfg.start_ranks, opt);
       if (world.rank() == 0) ra = std::move(res);
     });
@@ -154,17 +121,9 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"retries\": %llu,\n",
                static_cast<unsigned long long>(ra.report.retries));
 
-  // Sketched-vs-baseline comparison (ISSUE acceptance: the sketched solver
-  // must meet the same eps with fewer total flops on both datasets).
   // Start ranks model realistic bad guesses — overshoot where eps = 0.1
   // truncates far below the guess, undershoot (down to the zero-knowledge
-  // {1,...,1}) where eps = 0.01 needs growth rounds: the cold start pays
-  // full HOOI iterations for either mistake, which is exactly the work the
-  // warm start's one O(N s) sketched ST-HOSVD pass skips by seeding both
-  // factors and ranks.
-  // Sizes are chosen so the distributed flop work dominates the simulated
-  // runtime's per-collective latency — at toy sizes wall-clock is pure
-  // thread-sync noise and says nothing about either solver.
+  // {1,...,1}) where eps = 0.01 needs growth rounds.
   const auto miranda96 = [](const dist::ProcessorGrid& g) {
     return data::miranda_like<double>(g, 96);
   };
@@ -174,59 +133,21 @@ int main(int argc, char** argv) {
   const auto hcci = [](const dist::ProcessorGrid& g) {
     return data::hcci_like<double>(g, 32, 32, 8, 16);
   };
-  // Per-config knobs, tuned so each arm is honest about its own economics:
-  // the KRP configs widen min_cols a notch — enough width that the ladder
-  // never regrows (a regrow re-reads the tensor and re-runs the TSQR/QRCP
-  // collectives, pure wall-clock loss) and the noisier KRP tail estimator
-  // still seeds ranks that meet eps on the first sweep; safety stays at
-  // the hedged 0.5 only where eps is tight enough for estimator variance
-  // to threaten an undershoot.
-  std::vector<CompareCfg> cfgs;
-  cfgs.push_back({"miranda_eps0.1", 0.1, {1, 2, 2},
-                  std::vector<idx_t>{24, 24, 24},
-                  core::SvdMethod::krp_sketch, 8, 1.0, miranda96});
-  cfgs.push_back({"miranda_eps0.01", 0.01, {1, 2, 2},
-                  std::vector<idx_t>{1, 1, 1},
-                  core::SvdMethod::gaussian_sketch, 10, 0.5, miranda});
-  cfgs.push_back({"hcci_eps0.1", 0.1, {1, 2, 2, 1},
-                  std::vector<idx_t>{4, 4, 2, 2},
-                  core::SvdMethod::krp_sketch, 16, 0.5, hcci});
-  cfgs.push_back({"hcci_eps0.01", 0.01, {1, 2, 2, 1},
-                  std::vector<idx_t>{2, 2, 2, 2},
-                  core::SvdMethod::krp_sketch, 12, 0.5, hcci});
+  const std::vector<CompareCfg> cfgs{
+      {"miranda_eps0.1", 0.1, {1, 2, 2}, {24, 24, 24}, miranda96},
+      {"miranda_eps0.01", 0.01, {1, 2, 2}, {1, 1, 1}, miranda},
+      {"hcci_eps0.1", 0.1, {1, 2, 2, 1}, {4, 4, 2, 2}, hcci},
+      {"hcci_eps0.01", 0.01, {1, 2, 2, 1}, {2, 2, 2, 2}, hcci},
+  };
   for (const auto& cfg : cfgs) {
-    // Flops and errors are deterministic (counter-based RNG); wall-clock is
-    // not, so keep the best of three runs per arm — the standard defense
-    // against scheduler noise in the simulated-rank runtime.
-    const auto best_of = [&](bool sketched) {
-      CompareRun best;
-      for (int rep = 0; rep < 3; ++rep) {
-        const CompareRun r = ra_compare_run(p, cfg, sketched);
-        if (rep == 0 || r.seconds < best.seconds) best = r;
-      }
-      return best;
-    };
-    const CompareRun base = best_of(/*sketched=*/false);
-    const CompareRun sk = best_of(/*sketched=*/true);
+    const CompareRun base = ra_compare_run(p, cfg);
     const char* c = cfg.name.c_str();
     std::fprintf(f, "  \"%s_baseline_flops\": %.12g,\n", c, base.flops);
-    std::fprintf(f, "  \"%s_sketched_flops\": %.12g,\n", c, sk.flops);
-    std::fprintf(f, "  \"%s_flop_ratio\": %.6g,\n", c,
-                 sk.flops > 0.0 ? base.flops / sk.flops : 0.0);
     std::fprintf(f, "  \"%s_baseline_rel_error\": %.12g,\n", c,
                  base.rel_error);
-    std::fprintf(f, "  \"%s_sketched_rel_error\": %.12g,\n", c, sk.rel_error);
-    std::fprintf(f, "  \"%s_flops_reduced\": %d,\n", c,
-                 sk.flops < base.flops ? 1 : 0);
-    std::fprintf(f, "  \"%s_sketched_meets_eps\": %d,\n", c,
-                 sk.rel_error <= cfg.eps ? 1 : 0);
     std::fprintf(f, "  \"%s_baseline_seconds\": %.6f,\n", c, base.seconds);
-    std::fprintf(f, "  \"%s_sketched_seconds\": %.6f,\n", c, sk.seconds);
-    std::printf(
-        "bench_solver[%s]: baseline %.3g flops err %.4g (%.2fs) | sketched "
-        "%.3g flops err %.4g (%.2fs) | ratio %.2fx\n",
-        c, base.flops, base.rel_error, base.seconds, sk.flops, sk.rel_error,
-        sk.seconds, sk.flops > 0.0 ? base.flops / sk.flops : 0.0);
+    std::printf("bench_solver[%s]: %.3g flops err %.4g (%.2fs)\n", c,
+                base.flops, base.rel_error, base.seconds);
   }
 
   std::fprintf(f, "  \"seconds\": %.6f\n", run.seconds);

@@ -1,25 +1,18 @@
 // HOOI driver, mirroring the paper artifact's `hooi` binary. The four HOOI
-// variants are selected exactly as in the artifact's table, plus the
-// sketched backends of this library:
+// variants are selected exactly as in the artifact's table:
 //
 //   variant       Dimension Tree Memoization   SVD Method
 //   HOOI          false                        0
 //   HOOI-DT       true                         0
 //   HOSI          false                        2
 //   HOSI-DT       true                         2
-//   HOSK(-DT)     either                       3  (Gaussian sketch)
-//   HOSK-KRP(-DT) either                       4  (Khatri-Rao sketch)
 //
-// "SVD Method = -1" asks the cost model to pick the cheapest LLSV backend
-// for the problem shape (model::pick_llsv_backend). The sketched backends
-// read the optional knobs "Sketch Oversample" (default 8), "Sketch Min
-// Cols" (16), "Sketch Growth" (2.0), "Sketch Safety" (0.5) and "Sketch
-// Deterministic" (false; bitwise grid-invariant fixed-point apply).
+// "SVD Method = -1" asks the cost model to pick the cheaper LLSV backend
+// for the problem shape (model::pick_llsv_backend).
 //
 // "HOOI-Adapt Threshold" > 0 enables the rank-adaptive (error-specified)
-// driver (paper Alg. 3) with that epsilon; 0 runs fixed-rank HOOI. The
-// rank-adaptive start is controlled by "RA Init" = random (default, the
-// Alg. 3 cold start) or sketched (randomized ST-HOSVD warm start).
+// driver (paper Alg. 3) with that epsilon, started from random factors at
+// the "Decomposition Ranks"; 0 runs fixed-rank HOOI.
 //
 //   ./hooi_driver --parameter-file HOOI.cfg [--profile] [--restore]
 //               [--metrics-out <metrics.json>]

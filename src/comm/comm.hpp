@@ -161,9 +161,7 @@ class Comm {
 
   /// In-place element-wise max across all ranks; every rank receives the
   /// identical result. Max over a fixed rank order is exact (no rounding),
-  /// so this collective can never desynchronize replicated state — the
-  /// deterministic sketch path uses it to agree on a global quantization
-  /// scale (dist/sketch.cpp) before an integer allreduce.
+  /// so this collective can never desynchronize replicated state.
   template <typename T>
   void allreduce_max(T* data, idx_t n) const {
     allreduce(CollectiveOp::allreduce_max, data, n,

@@ -38,16 +38,15 @@ class CounterRng {
 
   /// Standard normal deviate for counter `i` (Box–Muller on two substreams).
   /// |normal(i)| <= sqrt(-2 ln 2^-53) < 8.58 — the guard against log(0)
-  /// bounds the deviate, which the deterministic sketch path's fixed-point
-  /// quantization relies on (dist/sketch.cpp).
+  /// bounds the deviate.
   double normal(std::uint64_t i) const noexcept;
 
   /// Standard normal deviate at the 2-D counter (i, j): entry (i, j) of a
   /// conceptually unbounded Gaussian matrix. The column is folded through
   /// stream() rather than i + j * rows arithmetic, so the deviate is a pure
   /// function of the *global* (row, column) pair — independent of any local
-  /// matrix shape — which is what makes sketch matrices identical on every
-  /// processor grid.
+  /// matrix shape — which is what makes matrices drawn this way identical
+  /// on every processor grid.
   double normal2(std::uint64_t i, std::uint64_t j) const noexcept {
     return stream(j).normal(i);
   }

@@ -46,47 +46,13 @@ struct Sweep {
   dist::DistTensor<T> core;
 
   // Runs the configured LLSV method for one mode and returns the new
-  // factor. The sweep index seeds the fresh sketches of the randomized
-  // methods so they differ between sweeps but are identical on every rank.
+  // factor.
   la::Matrix<T> primary(const dist::DistTensor<T>& y, int mode) const {
-    switch (options.svd_method) {
-      case SvdMethod::subspace_iteration:
-        RAHOOI_REQUIRE(factors[mode].cols() == ranks[mode],
-                       "subspace iteration needs a starting factor of the "
-                       "requested rank");
-        return llsv_subspace_iteration(y, mode, factors[mode],
-                                       options.subspace_steps);
-      case SvdMethod::randomized: {
-        // Cold start: one-power-iteration randomized range finder.
-        const CounterRng rng = CounterRng(options.seed)
-                                   .stream(0x5EED0000ull + index)
-                                   .stream(mode);
-        la::Matrix<T> sketch(y.global_dim(mode), ranks[mode]);
-        for (idx_t i = 0; i < sketch.size(); ++i) {
-          sketch.data()[i] = static_cast<T>(rng.normal(i));
-        }
-        return llsv_subspace_iteration(y, mode,
-                                       la::orthonormalize<T>(sketch.cref()),
-                                       options.subspace_steps);
-      }
-      case SvdMethod::gaussian_sketch:
-      case SvdMethod::krp_sketch: {
-        // Sketched range finder: a fresh counter-based Omega per (sweep,
-        // mode) so sweeps are independent draws yet identical on every
-        // rank/grid.
-        const CounterRng rng = CounterRng(options.seed)
-                                   .stream(0x5EED5CEBull + index)
-                                   .stream(mode);
-        const dist::SketchKind kind =
-            options.svd_method == SvdMethod::gaussian_sketch
-                ? dist::SketchKind::gaussian
-                : dist::SketchKind::krp;
-        return llsv_sketch(y, mode, ranks[mode], 0.0, kind, options.sketch,
-                           rng)
-            .u;
-      }
-      case SvdMethod::gram_evd:
-        break;
+    if (options.svd_method == SvdMethod::subspace_iteration) {
+      RAHOOI_REQUIRE(factors[mode].cols() == ranks[mode],
+                     "subspace iteration needs a starting factor of the "
+                     "requested rank");
+      return llsv_subspace_iteration(y, mode, factors[mode]);
     }
     return llsv_gram(y, mode, ranks[mode]).u;
   }

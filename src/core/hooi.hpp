@@ -37,11 +37,10 @@ std::vector<la::Matrix<T>> random_factors(const std::vector<idx_t>& dims,
 /// dimension-tree (Alg. 4) sweep and to Gram+EVD or subspace-iteration
 /// LLSV. For subspace iteration, `factors` must already have ranks[j]
 /// orthonormal columns (they are the iteration's starting subspace).
-/// `sweep_index` distinguishes sweeps for the randomized method's fresh
-/// sketches (any value is fine for the other methods). When `report` is
-/// non-null, numerical hazards (non-finite updates, EVD non-convergence)
-/// degrade gracefully — fall back to Gram+EVD, then to keeping the previous
-/// factor — and are recorded there instead of thrown.
+/// `sweep_index` labels the sweep in `report`. When `report` is non-null,
+/// numerical hazards (non-finite updates, EVD non-convergence) degrade
+/// gracefully — fall back to Gram+EVD, then to keeping the previous factor
+/// — and are recorded there instead of thrown.
 template <typename T>
 dist::DistTensor<T> hooi_sweep(const dist::DistTensor<T>& x,
                                std::vector<la::Matrix<T>>& factors,

@@ -1,12 +1,10 @@
 #include "core/llsv.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/stats.hpp"
 #include "core/options.hpp"
 #include "la/svd.hpp"
-#include "metrics/metrics.hpp"
 #include "prof/trace.hpp"
 
 namespace rahooi::core {
@@ -15,12 +13,6 @@ std::string variant_name(const HooiOptions& o) {
   switch (o.svd_method) {
     case SvdMethod::subspace_iteration:
       return o.use_dimension_tree ? "HOSI-DT" : "HOSI";
-    case SvdMethod::randomized:
-      return o.use_dimension_tree ? "HOOI-RRF-DT" : "HOOI-RRF";
-    case SvdMethod::gaussian_sketch:
-      return o.use_dimension_tree ? "HOSK-DT" : "HOSK";
-    case SvdMethod::krp_sketch:
-      return o.use_dimension_tree ? "HOSK-KRP-DT" : "HOSK-KRP";
     case SvdMethod::gram_evd:
       break;
   }
@@ -65,57 +57,6 @@ GramLlsv<T> llsv_gram_impl(const dist::DistTensor<T>& x, int mode,
   out.u = evd.vectors.leading_block(evd.vectors.rows(), out.rank);
   out.eigenvalues = std::move(evd.eigenvalues);
   return out;
-}
-
-/// Orthonormalizes a width-s sketch Y (n x s): QRCP(Y) -> SVD(R) ->
-/// U = Q U_R gives an energy-ordered basis of Y's range; `eigenvalues`
-/// hold sigma_i(Y)^2 / s zero-padded to n (see llsv_sketch doc). `rank`
-/// is the number of usable basis columns, min(n, s) — callers truncate.
-template <typename T>
-GramLlsv<T> sketch_factorize(const la::Matrix<T>& y, idx_t s) {
-  const idx_t n = y.rows();
-  const idx_t k = std::min(n, s);
-  la::QrcpResult<T> qr;
-  {
-    prof::TraceSpan t("qrcp", Phase::qr);
-    qr = la::qrcp<T>(y.cref(), k);
-  }
-  GramLlsv<T> out;
-  {
-    // Small sequential factorization replacing the EVD in the breakdown.
-    prof::TraceSpan t("sketch_svd", Phase::evd);
-    const la::SvdResult<T> svd = la::svd_jacobi<T>(qr.r.cref());
-    out.eigenvalues.assign(static_cast<std::size_t>(n), 0.0);
-    for (idx_t i = 0;
-         i < std::min<idx_t>(n, static_cast<idx_t>(svd.singular.size()));
-         ++i) {
-      out.eigenvalues[static_cast<std::size_t>(i)] =
-          svd.singular[static_cast<std::size_t>(i)] *
-          svd.singular[static_cast<std::size_t>(i)] / static_cast<double>(s);
-    }
-    out.u = la::matmul(la::Op::none, la::Op::none, qr.q.cref(), svd.u.cref());
-    out.rank = std::min(k, static_cast<idx_t>(svd.singular.size()));
-  }
-  return out;
-}
-
-/// Smallest r whose estimated tail energy sum_{i>r} lambda_i falls within
-/// `budget`. The tail is summed from the sketch's own eigenvalue estimates,
-/// NOT differenced against a separately measured ||X||^2: the difference
-/// form inherits the O(||X||^2 / sqrt(s)) variance of the total-energy
-/// estimate sum_i lambda_i, which dwarfs any tight budget and makes the
-/// verdict essentially a coin flip, while the tail estimates carry the
-/// (small) magnitude of the tail itself. Returns a value in [1, #lambda];
-/// the caller guards against the tail the sketch cannot see by requiring
-/// oversample columns to spare.
-idx_t rank_for_tail_energy(const std::vector<double>& lambda, double budget) {
-  double tail = 0.0;
-  for (const double l : lambda) tail += std::max(0.0, l);
-  for (std::size_t i = 0; i < lambda.size(); ++i) {
-    tail -= std::max(0.0, lambda[i]);
-    if (tail <= budget) return static_cast<idx_t>(i + 1);
-  }
-  return 0;
 }
 
 }  // namespace
@@ -203,59 +144,6 @@ la::Matrix<T> llsv_subspace_iteration(const dist::DistTensor<T>& x, int mode,
   return u;
 }
 
-template <typename T>
-GramLlsv<T> llsv_sketch(const dist::DistTensor<T>& x, int mode, idx_t rank,
-                        double tau_sq, dist::SketchKind kind,
-                        const SketchOptions& sketch, const CounterRng& rng) {
-  prof::TraceSpan span("llsv");
-  const idx_t n = x.global_dim(mode);
-  if (rank > 0) {
-    RAHOOI_REQUIRE(rank <= n,
-                   "llsv_sketch: requested rank exceeds the mode dimension");
-    const idx_t s = rank + sketch.oversample;
-    const la::Matrix<T> y =
-        dist::dist_sketch_mode(x, mode, s, rng, kind, sketch.deterministic);
-    GramLlsv<T> out = sketch_factorize(y, s);
-    // Degenerate inputs can leave fewer numerically nonzero singular values
-    // than the requested rank; the basis Q U_R is orthonormal in every
-    // column regardless, so keep the requested width (matching the Gram
-    // path, which also pads with null-space eigenvectors).
-    out.u = out.u.leading_block(n, rank);
-    out.rank = rank;
-    return out;
-  }
-
-  // Error-specified truncation: grow the sketch until the estimated tail
-  // energy clears the (safety-scaled) threshold with `oversample` columns
-  // to spare. Once the width would reach the full mode dimension the sketch
-  // apply costs as much as the Gram matrix itself, so certify the
-  // truncation exactly instead of accepting a noisy spectrum estimate —
-  // against the full tau_sq: `safety` only hedges sketch-estimate variance.
-  RAHOOI_REQUIRE(tau_sq >= 0.0, "llsv_sketch: threshold must be >= 0");
-  const double budget = sketch.safety * tau_sq;
-  const idx_t smax = n;
-  idx_t s = std::min(
-      smax, std::max<idx_t>(sketch.min_cols, sketch.oversample + 1));
-  for (int attempt = 0; s < smax; ++attempt) {
-    const CounterRng draw = rng.stream(static_cast<std::uint64_t>(attempt));
-    const la::Matrix<T> y =
-        dist::dist_sketch_mode(x, mode, s, draw, kind, sketch.deterministic);
-    GramLlsv<T> out = sketch_factorize(y, s);
-    const idx_t r = rank_for_tail_energy(out.eigenvalues, budget);
-    if (r > 0 && r + sketch.oversample <= s) {
-      out.u = out.u.leading_block(n, r);
-      out.rank = r;
-      return out;
-    }
-    if (metrics::Registry* reg = metrics::registry()) {
-      reg->count(metrics::Counter::sketch_regrowths);
-    }
-    s = std::min(smax, static_cast<idx_t>(std::ceil(
-                           static_cast<double>(s) * sketch.growth)));
-  }
-  return llsv_gram_impl(x, mode, idx_t{0}, tau_sq);
-}
-
 #define RAHOOI_INSTANTIATE_LLSV(T)                                        \
   template GramLlsv<T> llsv_gram<T>(const dist::DistTensor<T>&, int,     \
                                     idx_t);                               \
@@ -264,11 +152,7 @@ GramLlsv<T> llsv_sketch(const dist::DistTensor<T>& x, int mode, idx_t rank,
   template GramLlsv<T> llsv_qr_svd<T>(const dist::DistTensor<T>&, int,    \
                                       idx_t, double);                     \
   template la::Matrix<T> llsv_subspace_iteration<T>(                      \
-      const dist::DistTensor<T>&, int, const la::Matrix<T>&, int);        \
-  template GramLlsv<T> llsv_sketch<T>(const dist::DistTensor<T>&, int,    \
-                                      idx_t, double, dist::SketchKind,    \
-                                      const SketchOptions&,               \
-                                      const CounterRng&);
+      const dist::DistTensor<T>&, int, const la::Matrix<T>&, int);
 
 RAHOOI_INSTANTIATE_LLSV(float)
 RAHOOI_INSTANTIATE_LLSV(double)

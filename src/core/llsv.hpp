@@ -1,6 +1,6 @@
 #pragma once
 // Leading-left-singular-vector (LLSV) computations — the two algorithmic
-// choices the paper compares plus the sketched family of this library:
+// choices the paper compares, plus the TSQR path STHOSVD can use:
 //
 //  * Gram + EVD (paper §2.1): eigenvectors of the replicated Gram matrix;
 //    supports rank-specified and error-specified truncation. The EVD is
@@ -9,18 +9,13 @@
 //  * Subspace iteration (paper §3.4, Alg. 5): one step of subspace
 //    iteration initialized from the previous HOOI iterate, orthonormalized
 //    with QR-with-column-pivoting. Rank-specified only.
-//  * Sketched range finder (HMT; Minster, Li & Ballard): one distributed
-//    sketch apply Y = X_(j) Omega (dist/sketch.hpp) followed by the small
-//    sequential QRCP + Jacobi-SVD pair. Supports rank-specified truncation
-//    (width r + oversample) and error-specified truncation via adaptive
-//    width growth until the estimated tail energy clears the threshold.
+//  * TSQR + small SVD (Li, Fang & Ballard): the numerically stable
+//    alternative to the Gram matrix, rank- or error-specified.
 
 #include <vector>
 
-#include "common/rng.hpp"
 #include "core/options.hpp"
 #include "dist/dist_ops.hpp"
-#include "dist/sketch.hpp"
 #include "la/eig.hpp"
 #include "la/qr.hpp"
 
@@ -75,26 +70,5 @@ template <typename T>
 la::Matrix<T> llsv_subspace_iteration(const dist::DistTensor<T>& x, int mode,
                                       const la::Matrix<T>& u_prev,
                                       int steps = 1);
-
-/// Sketched LLSV: one distributed sketch apply Y = X_(mode) Omega, then the
-/// small sequential orthonormalization QRCP(Y) -> SVD(R) -> U = Q U_R. The
-/// returned `eigenvalues` hold the *estimated* squared singular values
-/// lambda_i = sigma_i(Y)^2 / s (E[Y Y^T] = s X_(mode) X_(mode)^T for a width-s
-/// Gaussian sketch), zero-padded to the mode dimension, so the thresholding
-/// logic stays interchangeable with the Gram path.
-///
-/// `rank` > 0 selects rank-specified truncation with sketch width
-/// rank + sketch.oversample. `rank` = 0 selects error-specified truncation:
-/// starting from sketch.min_cols columns, the width grows by sketch.growth
-/// (metrics Counter::sketch_regrowths per round, fresh Omega from
-/// rng.stream(attempt)) until the estimated tail energy sum_{i>r} lambda_i
-/// clears sketch.safety * tau_sq with `oversample` columns to spare. If the
-/// width would reach the mode dimension — where the sketch apply costs as
-/// much as the Gram matrix — the call falls back to the exact llsv_gram_tol
-/// decision at the full tau_sq (`safety` only hedges estimator variance).
-template <typename T>
-GramLlsv<T> llsv_sketch(const dist::DistTensor<T>& x, int mode, idx_t rank,
-                        double tau_sq, dist::SketchKind kind,
-                        const SketchOptions& sketch, const CounterRng& rng);
 
 }  // namespace rahooi::core

@@ -8,22 +8,11 @@ namespace rahooi::core {
 
 void validate(const HooiOptions& o) {
   RAHOOI_REQUIRE(o.max_iters >= 1, "HooiOptions: max_iters must be >= 1");
-  RAHOOI_REQUIRE(o.subspace_steps >= 1,
-                 "HooiOptions: subspace_steps must be >= 1");
   RAHOOI_REQUIRE(std::isfinite(o.convergence_tol) && o.convergence_tol >= 0.0,
                  "HooiOptions: convergence_tol must be finite and >= 0");
   RAHOOI_REQUIRE(std::isfinite(o.collective_timeout_ms) &&
                      o.collective_timeout_ms >= 0.0,
                  "HooiOptions: collective_timeout_ms must be finite and >= 0");
-  RAHOOI_REQUIRE(o.sketch.oversample >= 1,
-                 "SketchOptions: oversample must be >= 1");
-  RAHOOI_REQUIRE(o.sketch.min_cols >= 1,
-                 "SketchOptions: min_cols must be >= 1");
-  RAHOOI_REQUIRE(std::isfinite(o.sketch.growth) && o.sketch.growth > 1.0,
-                 "SketchOptions: growth must exceed 1");
-  RAHOOI_REQUIRE(std::isfinite(o.sketch.safety) && o.sketch.safety > 0.0 &&
-                     o.sketch.safety <= 1.0,
-                 "SketchOptions: safety must be in (0, 1]");
 }
 
 void validate(const RankAdaptiveOptions& o) {

@@ -165,21 +165,6 @@ RankAdaptiveResult<T> rank_adaptive_hooi(
                               .ranks_after = ranks,
                               .compressed_size = ck->ra_last_size,
                               .rel_error_after = ck->ra_last_rel_error});
-  } else if (options.init == RaInit::sketched_sthosvd) {
-    // Randomized ST-HOSVD warm start: one sketched pass at the target
-    // tolerance seeds both factors and ranks, so the first HOOI iteration
-    // refines an informed subspace instead of random noise. The adaptive
-    // sketch width grows per mode until its tail estimate clears the
-    // per-mode threshold (core/llsv.hpp).
-    prof::TraceSpan init_span("sketched_init");
-    const LlsvKernel kernel =
-        options.hooi.svd_method == SvdMethod::krp_sketch
-            ? LlsvKernel::krp_sketch
-            : LlsvKernel::gaussian_sketch;
-    TuckerResult<T> init = sthosvd(x, options.tolerance, kernel,
-                                   options.hooi.sketch, options.hooi.seed);
-    factors = std::move(init.factors);
-    for (int j = 0; j < d; ++j) ranks[j] = factors[j].cols();
   } else {
     factors = random_factors<T>(x.global_dims(), ranks, options.hooi.seed);
   }

@@ -40,8 +40,7 @@ namespace {
 template <typename T>
 TuckerResult<T> sthosvd_impl(const dist::DistTensor<T>& x, double eps,
                              const std::vector<idx_t>* fixed_ranks,
-                             LlsvKernel kernel, const SketchOptions& sketch,
-                             std::uint64_t seed) {
+                             LlsvKernel kernel) {
   const int d = x.ndims();
   // The session's one logged event summarizes the whole run (the registry
   // being installed is the knob; there is no options struct here).
@@ -59,19 +58,7 @@ TuckerResult<T> sthosvd_impl(const dist::DistTensor<T>& x, double eps,
     const dist::DistTensor<T>& cur = j == 0 ? x : y;
     const idx_t fixed = fixed_ranks != nullptr ? (*fixed_ranks)[j] : 0;
     GramLlsv<T> llsv;
-    if (kernel == LlsvKernel::gaussian_sketch ||
-        kernel == LlsvKernel::krp_sketch) {
-      // Randomized ST-HOSVD: sketched per-mode truncation. The adaptive
-      // (error-specified) form estimates the tail of the *partially
-      // truncated* tensor from the sketch spectrum, which is what the
-      // per-mode threshold tau^2 budgets against in Alg. 1.
-      const dist::SketchKind kind = kernel == LlsvKernel::gaussian_sketch
-                                        ? dist::SketchKind::gaussian
-                                        : dist::SketchKind::krp;
-      const CounterRng rng =
-          CounterRng(seed).stream(0x5EEDDA7Aull).stream(j);
-      llsv = llsv_sketch(cur, j, fixed, tau_sq, kind, sketch, rng);
-    } else if (kernel == LlsvKernel::qr_svd) {
+    if (kernel == LlsvKernel::qr_svd) {
       llsv = llsv_qr_svd(cur, j, fixed, tau_sq);
     } else {
       llsv = fixed > 0 ? llsv_gram(cur, j, fixed)
@@ -99,36 +86,31 @@ TuckerResult<T> sthosvd_impl(const dist::DistTensor<T>& x, double eps,
 
 template <typename T>
 TuckerResult<T> sthosvd(const dist::DistTensor<T>& x, double eps,
-                        LlsvKernel kernel, const SketchOptions& sketch,
-                        std::uint64_t seed) {
+                        LlsvKernel kernel) {
   RAHOOI_REQUIRE(eps >= 0.0 && eps < 1.0, "sthosvd: eps must be in [0, 1)");
-  return sthosvd_impl<T>(x, eps, nullptr, kernel, sketch, seed);
+  return sthosvd_impl<T>(x, eps, nullptr, kernel);
 }
 
 template <typename T>
 TuckerResult<T> sthosvd_fixed_rank(const dist::DistTensor<T>& x,
                                    const std::vector<idx_t>& ranks,
-                                   LlsvKernel kernel,
-                                   const SketchOptions& sketch,
-                                   std::uint64_t seed) {
+                                   LlsvKernel kernel) {
   RAHOOI_REQUIRE(static_cast<int>(ranks.size()) == x.ndims(),
                  "sthosvd: one rank per mode required");
   for (int j = 0; j < x.ndims(); ++j) {
     RAHOOI_REQUIRE(ranks[j] >= 1 && ranks[j] <= x.global_dim(j),
                    "sthosvd: ranks must be in [1, n_j]");
   }
-  return sthosvd_impl<T>(x, 0.0, &ranks, kernel, sketch, seed);
+  return sthosvd_impl<T>(x, 0.0, &ranks, kernel);
 }
 
 #define RAHOOI_INSTANTIATE_STHOSVD(T)                                  \
   template struct TuckerResult<T>;                                     \
   template TuckerResult<T> sthosvd<T>(const dist::DistTensor<T>&,      \
-                                      double, LlsvKernel,              \
-                                      const SketchOptions&,            \
-                                      std::uint64_t);                  \
+                                      double, LlsvKernel);             \
   template TuckerResult<T> sthosvd_fixed_rank<T>(                      \
       const dist::DistTensor<T>&, const std::vector<idx_t>&,           \
-      LlsvKernel, const SketchOptions&, std::uint64_t);
+      LlsvKernel);
 
 RAHOOI_INSTANTIATE_STHOSVD(float)
 RAHOOI_INSTANTIATE_STHOSVD(double)

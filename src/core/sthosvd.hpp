@@ -38,28 +38,19 @@ struct TuckerResult {
   tensor::TuckerTensor<T> replicated() const;
 };
 
-/// LLSV kernel used inside STHOSVD: TuckerMPI's Gram + sequential EVD, the
-/// numerically stable TSQR + small SVD of Li, Fang & Ballard (§2.3), or the
-/// sketched range finders (core/llsv.hpp) — the randomized ST-HOSVD that
-/// also serves as the rank-adaptive solver's warm start.
-enum class LlsvKernel { gram_evd, qr_svd, gaussian_sketch, krp_sketch };
+/// LLSV kernel used inside STHOSVD: TuckerMPI's Gram + sequential EVD, or
+/// the numerically stable TSQR + small SVD of Li, Fang & Ballard (§2.3).
+enum class LlsvKernel { gram_evd, qr_svd };
 
 /// Error-specified STHOSVD: per-mode threshold eps^2 ||X||^2 / d (§2.1).
-/// `sketch`/`seed` configure the sketched kernels (adaptive width growth
-/// until the per-mode tail estimate clears the threshold) and are ignored
-/// by the deterministic kernels.
 template <typename T>
 TuckerResult<T> sthosvd(const dist::DistTensor<T>& x, double eps,
-                        LlsvKernel kernel = LlsvKernel::gram_evd,
-                        const SketchOptions& sketch = {},
-                        std::uint64_t seed = 1);
+                        LlsvKernel kernel = LlsvKernel::gram_evd);
 
 /// Rank-specified STHOSVD: truncate mode j to ranks[j].
 template <typename T>
 TuckerResult<T> sthosvd_fixed_rank(const dist::DistTensor<T>& x,
                                    const std::vector<idx_t>& ranks,
-                                   LlsvKernel kernel = LlsvKernel::gram_evd,
-                                   const SketchOptions& sketch = {},
-                                   std::uint64_t seed = 1);
+                                   LlsvKernel kernel = LlsvKernel::gram_evd);
 
 }  // namespace rahooi::core

@@ -163,8 +163,7 @@ const std::vector<ParamKey>& param_key_table() {
        "float (true) or double (false) elements"},
       // -- solver configuration (all result-affecting) --------------------
       {"SVD Method", "int", "0", "hooi,serve", true,
-       "LLSV backend: 0 Gram+EVD, 1 randomized, 2 subspace+QRCP, 3 Gaussian "
-       "sketch, 4 Khatri-Rao sketch, -1 auto (cost model)"},
+       "LLSV backend: 0 Gram+EVD, 2 subspace+QRCP, -1 auto (cost model)"},
       {"Dimension Tree Memoization", "bool", "false", "hooi,serve", true,
        "memoize partial TTM chains (HOOI-DT / HOSI-DT variants)"},
       {"HOOI max iters", "int", "2", "hooi,serve", true,
@@ -173,18 +172,6 @@ const std::vector<ParamKey>& param_key_table() {
        "eps of the error-specified problem; > 0 enables rank-adaptive HOOI"},
       {"Rank growth factor", "double", "1.5", "hooi,serve", true,
        "alpha of Alg. 3: per-iteration rank growth when eps is not met"},
-      {"RA Init", "string", "random", "hooi,serve", true,
-       "rank-adaptive start: random | sketched (randomized ST-HOSVD)"},
-      {"Sketch Oversample", "int", "8", "hooi,serve", true,
-       "extra sketch columns beyond the target rank (methods 3/4)"},
-      {"Sketch Min Cols", "int", "16", "hooi,serve", true,
-       "initial sketch width for eps-driven adaptive truncation"},
-      {"Sketch Growth", "double", "2.0", "hooi,serve", true,
-       "sketch-width growth factor when the tail-energy test fails"},
-      {"Sketch Safety", "double", "0.5", "hooi,serve", true,
-       "accept an adaptive rank only below safety * tau^2 tail energy"},
-      {"Sketch Deterministic", "bool", "false", "hooi,serve", true,
-       "bitwise grid-invariant fixed-point sketch apply path"},
       {"SV Threshold", "double", "0", "sthosvd", true,
        "error-specified STHOSVD threshold (0 = rank-specified)"},
       {"Perform STHOSVD", "bool", "true", "sthosvd", true,

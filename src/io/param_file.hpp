@@ -12,13 +12,11 @@
 //   HOOI max iters = 3
 //
 // "SVD Method" selects the LLSV backend: 0 = Gram + sequential EVD
-// (TuckerMPI default), 1 = randomized subspace (cold-start ablation),
-// 2 = subspace iteration + QRCP (paper §3.4), 3 = Gaussian sketch,
-// 4 = Khatri-Rao sketch; io::solver_options additionally accepts -1 =
-// auto (model::pick_llsv_backend chooses by problem shape). The sketched
-// backends read "Sketch Oversample", "Sketch Min Cols", "Sketch Growth",
-// "Sketch Safety" and "Sketch Deterministic"; rank-adaptive solves read
-// "RA Init" (sketched | random) — see io/solver_params.hpp.
+// (TuckerMPI default) or 2 = subspace iteration + QRCP (paper §3.4);
+// io::solver_options additionally accepts -1 = auto (model::pick_llsv_backend
+// chooses by problem shape), and rejects the removed methods 1, 3 and 4,
+// "RA Init = sketched" and the "Sketch *" keys by name — see
+// io/solver_params.hpp.
 //
 // Lines are "Key = value(s)"; '#' starts a comment; keys are
 // case-sensitive; whitespace around keys and values is trimmed.

@@ -1,11 +1,42 @@
 #include "io/solver_params.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "common/contracts.hpp"
 #include "model/cost_model.hpp"
 
 namespace rahooi::io {
+
+namespace {
+
+// The sketched and randomized LLSV paths lost the paper-scale ablation
+// (EXPERIMENTS.md, "LLSV backend decision") and were deleted. A parameter
+// file that still asks for them fails loudly instead of silently solving
+// with a different method.
+void reject_removed(const ParamFile& params, long long svd_method) {
+  RAHOOI_REQUIRE(svd_method != 1 && svd_method != 3 && svd_method != 4,
+                 "'SVD Method = " + std::to_string(svd_method) +
+                     "' was removed (randomized and sketched LLSV lost the "
+                     "paper-scale ablation, EXPERIMENTS.md); use 0 "
+                     "(Gram+EVD), 2 (subspace+QRCP) or -1 (auto)");
+  RAHOOI_REQUIRE(params.get_string("RA Init", "random") == "random",
+                 "'RA Init = " + params.get_string("RA Init") +
+                     "' is not accepted: the sketched ST-HOSVD warm start "
+                     "lost the paper-scale ablation and was removed "
+                     "(EXPERIMENTS.md); rank-adaptive solves start from "
+                     "random factors");
+  for (const char* key : {"Sketch Oversample", "Sketch Min Cols",
+                          "Sketch Growth", "Sketch Safety",
+                          "Sketch Deterministic"}) {
+    RAHOOI_REQUIRE(!params.has(key),
+                   std::string("'") + key +
+                       "' was removed with the sketched LLSV backends "
+                       "(EXPERIMENTS.md); delete the key");
+  }
+}
+
+}  // namespace
 
 SolverOptions solver_options(const ParamFile& params,
                              const std::vector<idx_t>& dims,
@@ -15,12 +46,8 @@ SolverOptions solver_options(const ParamFile& params,
   core::HooiOptions& o = out.ra.hooi;
   o.use_dimension_tree = params.get_bool("Dimension Tree Memoization", false);
   o.max_iters = static_cast<int>(params.get_int("HOOI max iters", 2));
-  o.sketch.oversample = params.get_int("Sketch Oversample", 8);
-  o.sketch.min_cols = params.get_int("Sketch Min Cols", 16);
-  o.sketch.growth = params.get_double("Sketch Growth", 2.0);
-  o.sketch.safety = params.get_double("Sketch Safety", 0.5);
-  o.sketch.deterministic = params.get_bool("Sketch Deterministic", false);
   long long svd_method = params.get_int("SVD Method", 0);
+  reject_removed(params, svd_method);
   if (svd_method == -1) {
     // HOOI sweeps have a warm start, so subspace iteration is eligible.
     model::Problem prob;
@@ -29,15 +56,13 @@ SolverOptions solver_options(const ParamFile& params,
     for (const auto v : ranks) prob.r = std::max(prob.r, double(v));
     prob.iters = o.max_iters;
     prob.grid = grid;
-    switch (model::pick_llsv_backend(prob, o.sketch.oversample,
-                                     /*warm_start=*/true)) {
-      case model::LlsvBackend::gram_evd: svd_method = 0; break;
-      case model::LlsvBackend::subspace_iteration: svd_method = 2; break;
-      case model::LlsvBackend::sketch: svd_method = 3; break;
-    }
+    svd_method = model::pick_llsv_backend(prob, /*warm_start=*/true) ==
+                         model::LlsvBackend::subspace_iteration
+                     ? 2
+                     : 0;
   }
-  RAHOOI_REQUIRE(svd_method >= 0 && svd_method <= 4,
-                 "'SVD Method' must be in [0, 4] or -1 (auto)");
+  RAHOOI_REQUIRE(svd_method == 0 || svd_method == 2,
+                 "'SVD Method' must be 0, 2 or -1 (auto)");
   o.svd_method = static_cast<core::SvdMethod>(svd_method);
   o.seed = static_cast<std::uint64_t>(params.get_int("Seed", 1));
   o.collective_timeout_ms = params.get_double("Collective timeout ms", 0.0);
@@ -49,11 +74,6 @@ SolverOptions solver_options(const ParamFile& params,
   out.ra.tolerance = adapt;
   out.ra.max_iters = o.max_iters;
   out.ra.growth_factor = params.get_double("Rank growth factor", 1.5);
-  const std::string init = params.get_string("RA Init", "random");
-  RAHOOI_REQUIRE(init == "sketched" || init == "random",
-                 "'RA Init' must be 'sketched' or 'random'");
-  out.ra.init = init == "random" ? core::RaInit::random_factors
-                                 : core::RaInit::sketched_sthosvd;
   return out;
 }
 

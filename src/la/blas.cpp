@@ -540,25 +540,6 @@ void syrk_batch_t(idx_t batch, T alpha, const T* a, idx_t rows, idx_t n,
 }
 
 template <typename T>
-Matrix<T> khatri_rao(ConstMatrixRef<T> a, ConstMatrixRef<T> b) {
-  RAHOOI_REQUIRE(a.cols == b.cols, "khatri_rao: column counts must match");
-  Matrix<T> c(a.rows * b.rows, a.cols);
-  for (idx_t t = 0; t < a.cols; ++t) {
-    const T* __restrict__ ca = a.col(t);
-    const T* __restrict__ cb = b.col(t);
-    T* __restrict__ cc = c.data() + t * a.rows * b.rows;
-    for (idx_t ib = 0; ib < b.rows; ++ib) {
-      const T w = cb[ib];
-      T* __restrict__ dst = cc + ib * a.rows;
-      for (idx_t ia = 0; ia < a.rows; ++ia) dst[ia] = w * ca[ia];
-    }
-  }
-  stats::add_flops(static_cast<double>(a.rows) * static_cast<double>(b.rows) *
-                   static_cast<double>(a.cols));
-  return c;
-}
-
-template <typename T>
 void transpose(ConstMatrixRef<T> a, MatrixRef<T> b) {
   RAHOOI_REQUIRE(b.rows == a.cols && b.cols == a.rows,
                  "transpose: shape mismatch");
@@ -743,7 +724,6 @@ void syrk_ref(T alpha, ConstMatrixRef<T> a, T beta, MatrixRef<T> c) {
                                  const T*, idx_t, idx_t, T, MatrixRef<T>);    \
   template void syrk_batch_t<T>(idx_t, T, const T*, idx_t, idx_t, idx_t, T,   \
                                 MatrixRef<T>);                                \
-  template Matrix<T> khatri_rao<T>(ConstMatrixRef<T>, ConstMatrixRef<T>);     \
   template void transpose<T>(ConstMatrixRef<T>, MatrixRef<T>);                \
   template void gemv<T>(Op, T, ConstMatrixRef<T>, const T*, T, T*);           \
   template T dot<T>(idx_t, const T*, const T*);                               \

@@ -79,18 +79,6 @@ template <typename T>
 void syrk_batch_t(idx_t batch, T alpha, const T* a, idx_t rows, idx_t n,
                   idx_t a_stride, T beta, MatrixRef<T> c);
 
-/// Row-wise Khatri–Rao product (transposed KRP): with A (ma x s) and
-/// B (mb x s), returns C (ma*mb x s) where row (ia + ma * ib) of C is the
-/// elementwise product of row ia of A and row ib of B — the first factor's
-/// row index is fastest, matching the tensor layer's first-mode-fastest
-/// fiber order. This is the building block of the structured
-/// Khatri–Rao sketch (HMT / Minster et al.): the mode-j sketch operator
-/// Omega = W_{j-1} (krp) ... (krp) W_0 is folded left-to-right with this
-/// helper, so the n^(d-1)-row operator is only ever materialized for the
-/// rows a rank actually owns.
-template <typename T>
-Matrix<T> khatri_rao(ConstMatrixRef<T> a, ConstMatrixRef<T> b);
-
 /// B = A^T, cache-blocked. B must be (a.cols x a.rows).
 template <typename T>
 void transpose(ConstMatrixRef<T> a, MatrixRef<T> b);

@@ -39,8 +39,6 @@ const char* counter_name(Counter c) {
       return "solver_sweeps";
     case Counter::checkpoint_writes:
       return "checkpoint_writes";
-    case Counter::sketch_regrowths:
-      return "sketch_regrowths";
     case Counter::serve_submitted:
       return "serve_submitted";
     case Counter::serve_completed:
@@ -120,7 +118,6 @@ double Histogram::quantile(double q) const {
 void Registry::clear() {
   collectives_ = {};
   gauges_ = {};
-  sketch_cols_ = {};
   serve_queue_ = {};
   serve_stages_ = {};
   counters_ = {};

@@ -47,7 +47,6 @@ enum class Counter : int {
   solver_fallbacks,   ///< LLSV fallback decisions taken by leaf_update
   solver_sweeps,      ///< completed HOOI sweeps
   checkpoint_writes,  ///< checkpoints saved
-  sketch_regrowths,   ///< adaptive sketched-LLSV width regrowth rounds
   // Serving-layer SLO counters (src/serve/, docs/SERVING.md). Mutated by the
   // serve::Scheduler on its own registry under the scheduler mutex — the
   // documented exception to the one-rank-thread ownership contract.
@@ -209,15 +208,6 @@ class Registry {
     return gauges_[static_cast<std::size_t>(s)];
   }
 
-  // Sketch-width gauge (hot path): each sketched-LLSV apply records its
-  // width; the add/sub pair leaves `live` at zero so `peak` reports the
-  // widest sketch the solve needed (the adaptive ladder's high-water mark).
-  void record_sketch_cols(double cols) {
-    sketch_cols_.add(cols);
-    sketch_cols_.sub(cols);
-  }
-  const Gauge& sketch_cols() const { return sketch_cols_; }
-
   // Serving-layer instrumentation (src/serve/): queue-depth gauge and
   // per-stage job-latency histograms. Cold path — the scheduler mutates its
   // own registry under the scheduler mutex, never from rank threads.
@@ -258,7 +248,6 @@ class Registry {
   int rank_ = 0;
   std::array<CollectiveMetrics, kCollectiveCount> collectives_{};
   std::array<Gauge, static_cast<std::size_t>(kMemScopeCount)> gauges_{};
-  Gauge sketch_cols_{};
   Gauge serve_queue_{};
   std::array<Histogram, static_cast<std::size_t>(kServeStageCount)>
       serve_stages_{};

@@ -123,8 +123,6 @@ std::vector<Sample> snapshot(const Registry& r) {
     add("mem.peak_bytes" + labels, r.gauge(scope).peak);
   }
 
-  add("sketch.cols.peak", r.sketch_cols().peak);
-
   // Serving-layer samples (src/serve/): emitted only when the registry ever
   // saw serve traffic, so solver-only snapshots are unchanged.
   if (r.serve_queue().peak > 0.0) {

@@ -241,61 +241,28 @@ double predict_tree_memo_peak_bytes(
   return peak;
 }
 
-double predict_sketch_apply_flops(const std::vector<std::int64_t>& extents,
-                                  std::int64_t s) {
-  RAHOOI_REQUIRE(s >= 1, "predict_sketch_apply_flops: need >= 1 column");
-  double vol = 1.0;
-  for (const std::int64_t e : extents) vol *= static_cast<double>(e);
-  return 2.0 * static_cast<double>(s) * vol;
-}
-
-double predict_sketch_llsv_words(double n, double s, double p) {
-  RAHOOI_REQUIRE(n >= 1 && s >= 1 && p >= 1,
-                 "predict_sketch_llsv_words: degenerate arguments");
-  return 2.0 * n * s * (p - 1.0) / p;
-}
-
-const char* llsv_backend_name(LlsvBackend b) {
-  switch (b) {
-    case LlsvBackend::gram_evd: return "gram_evd";
-    case LlsvBackend::subspace_iteration: return "subspace_iteration";
-    case LlsvBackend::sketch: return "sketch";
-  }
-  return "?";
-}
-
-LlsvBackend pick_llsv_backend(const Problem& prob, std::int64_t oversample,
-                              bool warm_start, const MachineRates& m) {
-  RAHOOI_REQUIRE(prob.d >= 1 && prob.n >= 1 && prob.r >= 1 && oversample >= 1,
+LlsvBackend pick_llsv_backend(const Problem& prob, bool warm_start,
+                              const MachineRates& m) {
+  RAHOOI_REQUIRE(prob.d >= 1 && prob.n >= 1 && prob.r >= 1,
                  "pick_llsv_backend: degenerate problem");
   const double d = prob.d;
   const double n = prob.n;
   const double r = prob.r;
   const double p = std::max(1.0, prob.p());
   const double fibers = std::pow(n, d - 1);  // K = n^(d-1)
-  const double s = std::min(n, r + static_cast<double>(oversample));
   const double beta = m.word_bytes / m.bytes_per_sec;
 
   // Per-mode modeled seconds of each family (see header for the formulas).
   const double gram = n * n * fibers / p / m.flops_per_sec +
                       9.0 * n * n * n / m.seq_flops_per_sec +
                       2.0 * n * n * (p - 1.0) / p * beta;
-  const double sketch = 2.0 * fibers * s * n / p / m.flops_per_sec +
-                        4.0 * n * s * s / m.seq_flops_per_sec +
-                        predict_sketch_llsv_words(n, s, p) * beta;
-  double best_time = gram;
-  LlsvBackend best = LlsvBackend::gram_evd;
-  if (sketch < best_time) {
-    best_time = sketch;
-    best = LlsvBackend::sketch;
-  }
   if (warm_start) {
     const double si = 4.0 * n * std::pow(r, d) / p / m.flops_per_sec +
                       4.0 * n * r * r / m.seq_flops_per_sec +
                       2.0 * n * r * (p - 1.0) / p * beta;
-    if (si < best_time) best = LlsvBackend::subspace_iteration;
+    if (si < gram) return LlsvBackend::subspace_iteration;
   }
-  return best;
+  return LlsvBackend::gram_evd;
 }
 
 std::vector<int> best_grid(Algorithm a, int d, double n, double r, int iters,

@@ -119,42 +119,18 @@ std::vector<int> best_grid(Algorithm a, int d, double n, double r, int iters,
 /// All factorizations of p into d ordered positive factors.
 std::vector<std::vector<int>> grid_factorizations(int p, int d);
 
-// ---------------------------------------------------------------------------
-// Sketched-LLSV predictions (dist/sketch.hpp, core/llsv.hpp)
-// ---------------------------------------------------------------------------
+/// LLSV backend families the per-shape chooser picks between.
+enum class LlsvBackend { gram_evd, subspace_iteration };
 
-/// Exact flop count of one distributed sketch apply Y = X_(mode) Omega with
-/// `s` columns, summed over all ranks: 2 s prod(extents) — one multiply-add
-/// per tensor entry per sketch column, grid-independent (the kernel's
-/// gemm/gemm_batch_tn accounting reports exactly this split across ranks).
-/// The flop-pinning test compares this against measured Phase::gram deltas.
-double predict_sketch_apply_flops(const std::vector<std::int64_t>& extents,
-                                  std::int64_t s);
-
-/// Words one rank sends in the sketched LLSV's allreduce of the replicated
-/// (n x s) sketch: 2 n s (P-1)/P (Rabenseifner), vs 2 n^2 (P-1)/P for the
-/// Gram path — the sketch shrinks the LLSV collective by a factor n/s.
-double predict_sketch_llsv_words(double n, double s, double p);
-
-/// LLSV backend families the per-shape chooser picks between. `sketch`
-/// covers both Omega families — their leading-order cost is identical (the
-/// KRP variant only cheapens Omega *generation*, a lower-order term).
-enum class LlsvBackend { gram_evd, subspace_iteration, sketch };
-
-const char* llsv_backend_name(LlsvBackend b);
-
-/// Picks the cheapest LLSV backend for one mode of a cubical problem by
+/// Picks the cheaper LLSV backend for one mode of a cubical problem by
 /// modeled per-mode time (K = n^(d-1) fibers):
 ///  * gram_evd: n^2 K / P flops + 9 n^3 sequential EVD + 2 n^2 (P-1)/P words
 ///  * subspace_iteration: ~4 n r^d / P flops (TTM + contraction on the
 ///    memoized iterate) + ~4 n r^2 sequential QRCP + 2 n r (P-1)/P words
-///  * sketch: 2 K s n / P flops (s = r + oversample) + ~4 n s^2 sequential
-///    QRCP/SVD + 2 n s (P-1)/P words
 /// Subspace iteration needs a warm start, so it is only eligible when
 /// `warm_start` is true (HOOI sweeps after the first; a cold solve or an
 /// ST-HOSVD truncation cannot use it).
-LlsvBackend pick_llsv_backend(const Problem& prob, std::int64_t oversample,
-                              bool warm_start = true,
+LlsvBackend pick_llsv_backend(const Problem& prob, bool warm_start = true,
                               const MachineRates& m = {});
 
 /// Predicted peak of the dimension-tree memo cache (the dt_memo metrics

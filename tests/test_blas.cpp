@@ -152,28 +152,6 @@ TYPED_TEST(BlasTyped, GemvBothOps) {
   }
 }
 
-TYPED_TEST(BlasTyped, KhatriRaoRowwiseProduct) {
-  using T = TypeParam;
-  auto a = random_matrix<T>(3, 4, 30);
-  auto b = random_matrix<T>(5, 4, 31);
-  auto k = khatri_rao<T>(a.cref(), b.cref());
-  ASSERT_EQ(k.rows(), 15);
-  ASSERT_EQ(k.cols(), 4);
-  // First factor's row index fastest: row = ia + a.rows * ib.
-  for (idx_t t = 0; t < 4; ++t) {
-    for (idx_t ib = 0; ib < 5; ++ib) {
-      for (idx_t ia = 0; ia < 3; ++ia) {
-        EXPECT_EQ(k(ia + 3 * ib, t), a(ia, t) * b(ib, t));
-      }
-    }
-  }
-}
-
-TEST(Blas, KhatriRaoColumnMismatchThrows) {
-  Matrix<double> a(3, 4), b(5, 3);
-  EXPECT_THROW(khatri_rao<double>(a.cref(), b.cref()), precondition_error);
-}
-
 TEST(Blas, GemmShapeMismatchThrows) {
   Matrix<double> a(3, 4), b(5, 2), c(3, 2);
   EXPECT_THROW(

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "comm/runtime.hpp"
@@ -237,63 +238,33 @@ TEST(Hooi, FiveWayTreeLeafOrderProducesCore) {
   });
 }
 
-TEST(Hooi, RandomizedMethodRecoversLowRank) {
-  auto x = lowrank_plus_noise<double>({12, 10, 8}, {3, 3, 3}, 0.0, 75);
-  comm::Runtime::run(2, [&](comm::Comm& world) {
-    dist::ProcessorGrid grid(world, {1, 2, 1});
-    auto xd = distribute(grid, x);
-    HooiOptions o;
-    o.svd_method = SvdMethod::randomized;
-    o.use_dimension_tree = true;
-    o.max_iters = 2;
-    auto res = hooi(xd, {3, 3, 3}, o);
-    EXPECT_LT(res.decomposition.relative_error(), 1e-5);
-  });
-}
-
 TEST(Hooi, WarmStartBeatsColdStartPerSweep) {
   // The paper's §3.4 rationale for a single subspace iteration: the warm
-  // start from the previous HOOI iterate is accurate. With a cold random
-  // sketch each subiteration, per-sweep error should be no better (and on a
-  // noisy tensor with a modest gap, measurably worse after one sweep).
+  // start from the previous HOOI iterate is accurate. A cold start — fresh
+  // random factors before every sweep, so each one-step subspace iteration
+  // starts from noise — should be no better per sweep (and on a noisy
+  // tensor with a modest gap, measurably worse).
   auto x = lowrank_plus_noise<double>({14, 12, 10}, {3, 3, 3}, 0.5, 76);
   comm::Runtime::run(1, [&](comm::Comm& world) {
     dist::ProcessorGrid grid(world, {1, 1, 1});
     auto xd = distribute(grid, x);
-    HooiOptions warm = variant(SvdMethod::subspace_iteration, true, 3);
-    HooiOptions cold = warm;
-    cold.svd_method = SvdMethod::randomized;
-    auto rw = hooi(xd, {3, 3, 3}, warm);
-    auto rc = hooi(xd, {3, 3, 3}, cold);
+    const HooiOptions o = variant(SvdMethod::subspace_iteration, true, 3);
+    const std::vector<la::idx_t> ranks{3, 3, 3};
+    const double x_sq = xd.norm_squared();
+    const auto rel_error = [&](const dist::DistTensor<double>& core) {
+      return std::sqrt(std::max(0.0, x_sq - core.norm_squared()) / x_sq);
+    };
+    auto warm = random_factors<double>(xd.global_dims(), ranks, o.seed);
+    double warm_err = 1.0;
+    double cold_err = 1.0;
+    for (int sweep = 1; sweep <= o.max_iters; ++sweep) {
+      warm_err = rel_error(hooi_sweep(xd, warm, ranks, o, sweep));
+      auto cold = random_factors<double>(xd.global_dims(), ranks,
+                                         o.seed + static_cast<unsigned>(sweep));
+      cold_err = rel_error(hooi_sweep(xd, cold, ranks, o, sweep));
+    }
     // After three sweeps the warm-start variant must be at least as good.
-    EXPECT_LE(rw.error_history.back(), rc.error_history.back() + 1e-6);
-  });
-}
-
-TEST(Hooi, RandomizedVariantNames) {
-  HooiOptions o;
-  o.svd_method = SvdMethod::randomized;
-  EXPECT_EQ(variant_name(o), "HOOI-RRF");
-  o.use_dimension_tree = true;
-  EXPECT_EQ(variant_name(o), "HOOI-RRF-DT");
-}
-
-TEST(Hooi, RandomizedIsGridInvariant) {
-  auto x = lowrank_plus_noise<double>({8, 8, 8}, {2, 2, 2}, 0.1, 77);
-  double reference = -1;
-  HooiOptions o;
-  o.svd_method = SvdMethod::randomized;
-  o.max_iters = 2;
-  comm::Runtime::run(1, [&](comm::Comm& world) {
-    dist::ProcessorGrid grid(world, {1, 1, 1});
-    auto xd = distribute(grid, x);
-    reference = hooi(xd, {2, 2, 2}, o).decomposition.relative_error();
-  });
-  comm::Runtime::run(4, [&](comm::Comm& world) {
-    dist::ProcessorGrid grid(world, {2, 2, 1});
-    auto xd = distribute(grid, x);
-    EXPECT_NEAR(hooi(xd, {2, 2, 2}, o).decomposition.relative_error(),
-                reference, 1e-8);
+    EXPECT_LE(warm_err, cold_err + 1e-6);
   });
 }
 

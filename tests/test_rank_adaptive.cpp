@@ -83,27 +83,6 @@ TEST(RankAdaptive, MeetsToleranceFromPerfectRanks) {
   });
 }
 
-TEST(RankAdaptive, SketchedInitSeedsRanksAndMeetsTolerance) {
-  // The randomized ST-HOSVD warm start (RaInit::sketched_sthosvd) seeds the
-  // starting factors and ranks from one sketched truncation pass; the
-  // refinement sweeps then meet the tolerance without needing the growth
-  // loop to rediscover the spectrum from a random subspace.
-  auto x = lowrank_plus_noise<double>({14, 12, 10}, {3, 3, 3}, 0.05, 914);
-  comm::Runtime::run(4, [&](comm::Comm& world) {
-    dist::ProcessorGrid grid(world, {1, 2, 2});
-    auto xd = distribute(grid, x);
-    RankAdaptiveOptions opt;
-    opt.tolerance = 0.1;
-    opt.init = RaInit::sketched_sthosvd;
-    opt.hooi.svd_method = SvdMethod::gaussian_sketch;
-    // Deliberately undersized start ranks: the warm start overrides them.
-    auto res = rank_adaptive_hooi(xd, {1, 1, 1}, opt);
-    EXPECT_TRUE(res.satisfied);
-    EXPECT_LE(res.rel_error, 0.1 + 1e-10);
-    EXPECT_NEAR(tensor::relative_error(x, res.tucker), res.rel_error, 1e-6);
-  });
-}
-
 TEST(RankAdaptive, OvershootTruncatesInFirstIteration) {
   auto x = lowrank_plus_noise<double>({14, 12, 10}, {2, 2, 2}, 0.03, 911);
   comm::Runtime::run(2, [&](comm::Comm& world) {

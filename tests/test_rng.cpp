@@ -100,8 +100,8 @@ TEST(CounterRng, StreamDerivationIsDeterministic) {
 }
 
 TEST(CounterRng, Normal2MatchesStreamedNormal) {
-  // normal2(i, j) is defined as stream(j).normal(i) — the two spellings the
-  // sketch kernels use interchangeably must agree bitwise.
+  // normal2(i, j) is defined as stream(j).normal(i) — the two spellings
+  // must agree bitwise.
   CounterRng rng(31);
   for (std::uint64_t j = 0; j < 4; ++j) {
     const CounterRng sj = rng.stream(j);
@@ -112,8 +112,8 @@ TEST(CounterRng, Normal2MatchesStreamedNormal) {
 }
 
 TEST(CounterRng, NormalIsBoundedByBoxMullerClamp) {
-  // |normal| <= sqrt(-2 ln 2^-53) < 8.58 — the analytic bound the
-  // deterministic sketch path's fixed-point scale relies on.
+  // |normal| <= sqrt(-2 ln 2^-53) < 8.58 — the analytic bound of the
+  // Box-Muller clamp.
   CounterRng rng(32);
   for (std::uint64_t i = 0; i < 20000; ++i) {
     EXPECT_LT(std::abs(rng.normal(i)), 8.58);

@@ -16,6 +16,7 @@
 #include <thread>
 
 #include "common/contracts.hpp"
+#include "io/solver_params.hpp"
 #include "test_util.hpp"
 
 namespace rahooi {
@@ -251,6 +252,63 @@ TEST(ServeScheduler, InjectedFaultIsIsolatedToItsJob) {
                                    serve::Priority::normal, 0.0});
   EXPECT_EQ(sched.wait(clean).outcome, serve::Outcome::completed);
   EXPECT_EQ(sched.metrics().counter(metrics::Counter::serve_failed), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Removed solver choices: a stale parameter file fails loudly
+// ---------------------------------------------------------------------------
+
+TEST(SolverParams, RemovedChoicesFailLoudly) {
+  // The randomized and sketched LLSV paths and the sketched warm start were
+  // deleted (EXPERIMENTS.md). A request that still names one must be
+  // rejected with a message naming it, never solved with another method.
+  struct Case {
+    const char* extra;
+    const char* names;  ///< substring the error must carry; "" = accepted
+  };
+  const Case cases[] = {
+      {"SVD Method = 1\n", "'SVD Method = 1' was removed"},
+      {"SVD Method = 3\n", "'SVD Method = 3' was removed"},
+      {"SVD Method = 4\n", "'SVD Method = 4' was removed"},
+      {"HOOI-Adapt Threshold = 0.1\nRA Init = sketched\n",
+       "'RA Init = sketched'"},
+      {"Sketch Oversample = 8\n", "'Sketch Oversample' was removed"},
+      {"Sketch Min Cols = 16\n", "'Sketch Min Cols' was removed"},
+      {"Sketch Growth = 2.0\n", "'Sketch Growth' was removed"},
+      {"Sketch Safety = 0.5\n", "'Sketch Safety' was removed"},
+      {"Sketch Deterministic = false\n", "'Sketch Deterministic' was removed"},
+      {"SVD Method = 0\n", ""},
+      {"SVD Method = 2\n", ""},
+      {"SVD Method = -1\n", ""},
+      {"HOOI-Adapt Threshold = 0.1\nRA Init = random\n", ""},
+  };
+  for (const Case& c : cases) {
+    const io::ParamFile params = make_params("1 1 2", c.extra);
+    const auto solve_options = [&] {
+      return io::solver_options(params, {16, 16, 16}, {3, 3, 3}, {1, 1, 2});
+    };
+    if (*c.names == '\0') {
+      EXPECT_NO_THROW(solve_options()) << c.extra;
+      continue;
+    }
+    try {
+      solve_options();
+      ADD_FAILURE() << "accepted a removed choice: " << c.extra;
+    } catch (const precondition_error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.names), std::string::npos)
+          << e.what();
+    }
+  }
+
+  // Through the scheduler the same request is a failed job, not a solve.
+  serve::Scheduler sched(checked_options());
+  const serve::SolveReport bad = sched.wait(sched.submit(
+      {"stale", make_params("1 1 2", "SVD Method = 3\n"),
+       serve::Priority::normal, 0.0}));
+  EXPECT_EQ(bad.outcome, serve::Outcome::failed);
+  EXPECT_NE(bad.error.find("'SVD Method = 3' was removed"), std::string::npos)
+      << bad.error;
+  EXPECT_EQ(bad.result, nullptr);
 }
 
 // ---------------------------------------------------------------------------

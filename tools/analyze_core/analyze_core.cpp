@@ -234,7 +234,7 @@ std::size_t match_allow(std::vector<AllowDirective>& allows,
                         std::string_view rule, int line) {
   for (std::size_t k = 0; k < allows.size(); ++k) {
     AllowDirective& d = allows[k];
-    if (d.used || d.rule != rule) continue;
+    if (d.used || d.reason.empty() || d.rule != rule) continue;
     if (d.line == line || d.line + 1 == line) {
       d.used = true;
       return k;

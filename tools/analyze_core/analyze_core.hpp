@@ -13,8 +13,9 @@
 //
 // suppresses findings of `rule-name` on the same line or the line directly
 // below. The reason is mandatory; an empty reason or an unknown rule name is
-// itself reported (rule `allow-syntax`). Suppressions are counted and listed
-// in tool output so they stay visible.
+// itself reported (rule `allow-syntax`), and such a directive suppresses
+// nothing. Suppressions are counted and listed in tool output so they stay
+// visible.
 
 #ifndef RAHOOI_TOOLS_ANALYZE_CORE_HPP
 #define RAHOOI_TOOLS_ANALYZE_CORE_HPP
@@ -83,8 +84,8 @@ const std::set<std::string>& collective_methods();
 const std::set<std::string>& guard_types();
 
 /// Finds an unused allow directive for `rule` covering `line` (the
-/// directive's own line or the line directly above). Marks it used and
-/// returns its index, or npos.
+/// directive's own line or the line directly above). A directive without a
+/// reason never matches. Marks it used and returns its index, or npos.
 std::size_t match_allow(std::vector<AllowDirective>& allows,
                         std::string_view rule, int line);
 

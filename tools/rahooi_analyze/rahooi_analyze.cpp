@@ -909,7 +909,8 @@ int run_analyze(const fs::path& root, const std::vector<std::string>& paths,
 /// Fixture self-test: each subdirectory of the fixture root is analyzed as
 /// its own mini-tree. `bad_<rule>/` (or `bad_<rule>.<variant>/`) must yield
 /// exactly one unsuppressed finding of rule <rule> (underscores map to
-/// dashes); `clean*/` must yield none. File names map to tree paths:
+/// dashes); `bad_<rule>+<rule>.../` exactly one of each listed rule and
+/// nothing else; `clean*/` must yield none. File names map to tree paths:
 /// `core__x.cpp` is analyzed as `src/core/x.cpp`, `tests__x.cpp` as
 /// `tests/x.cpp`.
 int run_self_test(const fs::path& dir) {
@@ -951,14 +952,24 @@ int run_self_test(const fs::path& dir) {
     }
 
     if (starts_with(name, "bad_")) {
-      std::string rule = name.substr(4, name.find('.') - 4);
-      std::replace(rule.begin(), rule.end(), '_', '-');
+      std::string rules = name.substr(4, name.find('.') - 4);
+      std::replace(rules.begin(), rules.end(), '_', '-');
+      std::vector<std::string> want;
+      for (std::size_t at = 0; at <= rules.size();) {
+        const std::size_t plus = std::min(rules.find('+', at), rules.size());
+        want.push_back(rules.substr(at, plus - at));
+        at = plus + 1;
+      }
+      std::vector<std::string> got;
+      for (const Finding* fd : unsup) got.push_back(fd->rule);
+      std::sort(want.begin(), want.end());
+      std::sort(got.begin(), got.end());
       ++checked;
-      if (unsup.size() != 1 || unsup.front()->rule != rule) {
+      if (got != want) {
         std::fprintf(stderr,
                      "rahooi_analyze self-test FAIL: %s expected exactly one "
-                     "[%s] finding, got %zu:\n",
-                     name.c_str(), rule.c_str(), unsup.size());
+                     "[%s] finding each, got %zu:\n",
+                     name.c_str(), rules.c_str(), unsup.size());
         print_findings(findings);
         ++failures;
       }
