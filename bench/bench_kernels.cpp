@@ -219,6 +219,32 @@ void bench_ttm(int mode, std::vector<JsonEntry>& out, const char* tag) {
                  flops, gf, ref});
 }
 
+/// The dimension tree's root TTMs at the ra-hcci per-rank block (its
+/// 160x160x16x160 tensor on a 2x2x1x1 grid): mode 0 and the last mode, at
+/// the starting rank 12 and a late-iteration rank 27.
+void bench_ttm_root(std::vector<JsonEntry>& out) {
+  auto x = random_tensor<double>({80, 80, 16, 160}, 13);
+  for (const int mode : {0, 3}) {
+    for (const idx_t r : {idx_t{12}, idx_t{27}}) {
+      auto u = random_matrix<double>(x.dim(mode), r, 14 + r);
+      std::vector<idx_t> ydims = x.dims();
+      ydims[mode] = r;
+      tensor::Tensor<double> y(ydims);
+      const double flops =
+          2.0 * static_cast<double>(x.size()) * static_cast<double>(r);
+      const double gf = time_gflops(flops, [&] {
+        auto yy = tensor::ttm(x, mode, u.cref(), la::Op::transpose);
+        benchmark::DoNotOptimize(yy.data());
+      });
+      const double ref = time_gflops(
+          flops, [&] { ttm_seed_ref<double>(x, mode, u.cref(), y); });
+      out.push_back({"ttm_d_80x80x16x160_mode" + std::to_string(mode) +
+                         "_r" + std::to_string(r),
+                     flops, gf, ref});
+    }
+  }
+}
+
 template <typename T>
 void bench_contraction(std::vector<JsonEntry>& out, const char* tag) {
   auto y = random_tensor<T>({64, 32, 32}, 11);
@@ -279,6 +305,9 @@ int run_json_report(const char* path) {
   }
   bench_contraction<double>(entries, "d");
   bench_sym_evd(entries);
+  // Rows are diffed by position against the committed baseline: new rows
+  // go last.
+  bench_ttm_root(entries);
 
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {

@@ -9,6 +9,18 @@
 
 namespace rahooi::dist {
 
+namespace {
+
+/// Uninitialized scratch of n elements, charged to pack_buffer through mem.
+template <typename T>
+std::unique_ptr<T[]> pack_scratch(idx_t n, metrics::TrackedBytes& mem) {
+  mem.acquire_as(metrics::MemScope::pack_buffer,
+                 static_cast<double>(n) * sizeof(T));
+  return std::make_unique_for_overwrite<T[]>(static_cast<std::size_t>(n));
+}
+
+}  // namespace
+
 template <typename T>
 DistTensor<T> dist_ttm(const DistTensor<T>& x, int mode,
                        la::ConstMatrixRef<T> u) {
@@ -22,70 +34,38 @@ DistTensor<T> dist_ttm(const DistTensor<T>& x, int mode,
 
   // Local partial: contract this rank's block with its row slice of U,
   // producing the full r extent in `mode`.
-  const idx_t my_off = x.local_offset(mode);
-  const idx_t my_len = x.local_dim(mode);
-  auto u_slice = u.block(my_off, 0, my_len, r);
-  tensor::Tensor<T> partial;
-  {
-    // The partial product is communication scratch, not a live tensor:
-    // charge it (and the kernel pack panels underneath) to pack_buffer.
-    const metrics::MemScopeGuard pack_scope(metrics::MemScope::pack_buffer);
-    partial = tensor::ttm(x.local(), mode, u_slice, la::Op::transpose);
-  }
-
+  const auto u_slice =
+      u.block(x.local_offset(mode), 0, x.local_dim(mode), r);
   std::vector<idx_t> out_global = x.global_dims();
   out_global[mode] = r;
   DistTensor<T> y(grid, std::move(out_global));
-
+  // Kernel scratch underneath is communication scratch: charge it to
+  // pack_buffer.
+  const metrics::MemScopeGuard pack_scope(metrics::MemScope::pack_buffer);
   if (pj == 1) {
-    y.local() = std::move(partial);
-    // The moved buffer carries its pack_buffer charge; it just became the
-    // result's local block, so re-tag it like the DistTensor ctor would.
-    y.local().set_mem_scope(metrics::dist_scope());
+    tensor::ttm_parts(x.local(), mode, u_slice, {r}, y.local().data());
     return y;
   }
 
-  // Reduce-scatter the partials along the mode's grid dimension. Pack the
-  // partial so that destination q's slice (its block of the r extent) is
-  // contiguous and already in q's local first-mode-fastest layout.
-  const idx_t left = partial.left_size(mode);
-  const idx_t right = partial.right_size(mode);
-  std::vector<idx_t> counts(pj);
-  std::vector<T> sendbuf(static_cast<std::size_t>(partial.size()));
-  const metrics::ScopedBytes sendbuf_bytes(
-      metrics::MemScope::pack_buffer,
-      static_cast<double>(sendbuf.size()) * sizeof(T));
-  idx_t base = 0;
+  // Reduce-scatter the partials along the mode's grid dimension. The
+  // partial is written once, straight into the send layout: destination
+  // q's block of the r extent is contiguous and already in q's local
+  // first-mode-fastest layout.
+  const idx_t fibers =
+      x.local().left_size(mode) * x.local().right_size(mode);
+  std::vector<idx_t> parts(pj), counts(pj);
   for (int q = 0; q < pj; ++q) {
-    const idx_t off = block_offset(r, pj, q);
-    const idx_t len = block_size(r, pj, q);
-    counts[q] = left * len * right;
-    for (idx_t s = 0; s < right; ++s) {
-      auto sl = partial.slab(mode, s);
-      for (idx_t a = 0; a < len; ++a) {
-        const T* src = sl.col(off + a);
-        std::copy(src, src + left, sendbuf.data() + base +
-                                       (s * len + a) * left);
-      }
-    }
-    base += counts[q];
+    parts[q] = block_size(r, pj, q);
+    counts[q] = parts[q] * fibers;
   }
-  grid.mode_comm(mode).reduce_scatter_sum(sendbuf.data(), y.local().data(),
+  metrics::TrackedBytes sendbuf_mem;
+  const std::unique_ptr<T[]> sendbuf =
+      pack_scratch<T>(r * fibers, sendbuf_mem);
+  tensor::ttm_parts(x.local(), mode, u_slice, parts, sendbuf.get());
+  grid.mode_comm(mode).reduce_scatter_sum(sendbuf.get(), y.local().data(),
                                           counts);
   return y;
 }
-
-namespace {
-
-/// Uninitialized scratch of n elements, charged to pack_buffer through mem.
-template <typename T>
-std::unique_ptr<T[]> pack_scratch(idx_t n, metrics::TrackedBytes& mem) {
-  mem.acquire_as(metrics::MemScope::pack_buffer,
-                 static_cast<double>(n) * sizeof(T));
-  return std::make_unique_for_overwrite<T[]>(static_cast<std::size_t>(n));
-}
-
-}  // namespace
 
 template <typename T>
 ModeRowBlocks<T> redistribute_mode(const DistTensor<T>& x, int mode) {

@@ -1,7 +1,9 @@
 #include "la/blas.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <utility>
 
 #include "common/stats.hpp"
 
@@ -47,7 +49,7 @@ struct Tile {
 // MC x KC packed A block targets L2; NC x KC of packed B targets L3. kMC is
 // a multiple of every Tile<T>::MR and kNC of every Tile<T>::NR.
 constexpr idx_t kMC = 128;
-constexpr idx_t kKC = 256;
+constexpr idx_t kKC = kGemmDepthBlock;
 constexpr idx_t kNC = 960;
 
 template <typename T>
@@ -393,6 +395,154 @@ void gemm_driver(idx_t m, idx_t n, idx_t k, T alpha, const PA& pa,
   }
 }
 
+// ---------------------------------------------------------------------------
+// Unpacked skinny kernels (gemm_skinny_batch). A truncating TTM multiplies a
+// tensor-sized operand by a factor of at most kSkinnyMaxCols columns. Packing
+// that operand costs as much memory traffic as the product itself, and in the
+// transposed (mode-0) form an MR-row tile over r = 12 outputs is mostly zero
+// padding. These kernels read A in place and keep B transposed, padded to
+// whole vectors, in the thread's B-panel scratch. Every accumulator starts at
+// zero and runs over l in increasing order with micro_tile's vector
+// operations, and is stored once. Both forms keep their output tile in the
+// A-panel scratch: on a rank thread's stack the column form ran 2-3% slower
+// than on the main thread (bench_overhead_guard metrics_guard).
+// ---------------------------------------------------------------------------
+
+/// Accumulator vectors one skinny block holds: AVX-512 has 32 vector
+/// registers, narrower ISAs 16, and the operands need the rest.
+constexpr int kSkinnyAcc = (kVecBytes == 64) ? 24 : 12;
+
+/// Most B vectors one column-form pass keeps in registers.
+constexpr int kSkinnyMaxNV = 4;
+
+/// Row form blocking: rows of A go in blocks of kSkinnyRowBlock and the
+/// depth in groups of kSkinnyDepthGroup, so each step streams a few long
+/// contiguous column runs of A instead of touching every column's page.
+/// Partial sums live in an L1/L2 tile between depth groups.
+constexpr idx_t kSkinnyRowBlock = 256;
+constexpr idx_t kSkinnyDepthGroup = 32;
+
+/// How far ahead of the rows being multiplied the row form prefetches each
+/// column run of A.
+constexpr int kSkinnyPrefetchBytes = 1024;
+
+/// All lanes x. Unlike micro_tile's Vec{} + x it is a single broadcast
+/// load; the two differ only for x = -0, which makes no difference to a
+/// product that is added to a sum started at +0.
+template <typename T, std::size_t... I>
+inline typename Tile<T>::Vec splat(T x, std::index_sequence<I...>) {
+  return typename Tile<T>::Vec{(static_cast<void>(I), x)...};
+}
+template <typename T>
+inline typename Tile<T>::Vec splat(T x) {
+  return splat(x, std::make_index_sequence<Tile<T>::VL>{});
+}
+
+/// Column form: NJ consecutive length-k columns of `a` times the NV*VL
+/// columns of the transposed panel `bt` (row stride np), into `out` (row
+/// stride np, one row per column of `a`).
+template <typename T, int NV, int NJ>
+void skinny_cols(idx_t k, const T* __restrict__ a, const T* __restrict__ bt,
+                 idx_t np, T* __restrict__ out) {
+  using Vec = typename Tile<T>::Vec;
+  constexpr int VL = Tile<T>::VL;
+  Vec acc[NV * NJ];
+  for (int x = 0; x < NV * NJ; ++x) acc[x] = Vec{};
+  // The next block of columns, two cache lines per step.
+  const T* next = a + NJ * k;
+  constexpr int kLine = 64 / static_cast<int>(sizeof(T));
+  for (idx_t l = 0; l < k; ++l) {
+    __builtin_prefetch(next + 2 * l * kLine);
+    __builtin_prefetch(next + (2 * l + 1) * kLine);
+    Vec bv[NV];
+    for (int v = 0; v < NV; ++v) {
+      bv[v] = *reinterpret_cast<const Vec*>(bt + l * np + v * VL);
+    }
+    for (int j = 0; j < NJ; ++j) {
+      const Vec av = splat(a[j * k + l]);
+      for (int v = 0; v < NV; ++v) acc[v + j * NV] += bv[v] * av;
+    }
+  }
+  for (int j = 0; j < NJ; ++j) {
+    for (int v = 0; v < NV; ++v) {
+      *reinterpret_cast<Vec*>(out + j * np + v * VL) = acc[v + j * NV];
+    }
+  }
+}
+
+/// Row form: MU*VL rows of the column-major block `a` (leading dimension
+/// lda, already offset to the block's first row and depth) over a depth
+/// group of lg, times the NC columns of the transposed panel `bt` (row
+/// stride np). Column c's sums start at zero on the first group and are
+/// reloaded from row it of its tile column (tile + c * kSkinnyRowBlock)
+/// otherwise; the last group stores them to row i of col[c], earlier ones
+/// back to the tile.
+template <typename T, int MU, int NC>
+void skinny_rows(idx_t lg, const T* __restrict__ a, idx_t lda,
+                 const T* __restrict__ bt, idx_t np, T* const* col, T* tile,
+                 idx_t i, idx_t it, bool first, bool last) {
+  using Vec = typename Tile<T>::Vec;
+  constexpr int VL = Tile<T>::VL;
+  Vec acc[MU * NC];
+  for (int c = 0; c < NC; ++c) {
+    const T* partial = tile + c * kSkinnyRowBlock + it;
+    for (int u = 0; u < MU; ++u) {
+      acc[u + c * MU] =
+          first ? Vec{} : *reinterpret_cast<const Vec*>(partial + u * VL);
+    }
+  }
+  for (idx_t l = 0; l < lg; ++l) {
+    const T* __restrict__ al = a + l * lda;
+    const T* __restrict__ bl = bt + l * np;
+    __builtin_prefetch(al + kSkinnyPrefetchBytes / sizeof(T));
+    __builtin_prefetch(al + (kSkinnyPrefetchBytes + 64) / sizeof(T));
+    Vec av[MU];
+    for (int u = 0; u < MU; ++u) {
+      av[u] = *reinterpret_cast<const Vec*>(al + u * VL);
+    }
+    for (int c = 0; c < NC; ++c) {
+      const Vec bv = splat(bl[c]);
+      for (int u = 0; u < MU; ++u) acc[u + c * MU] += av[u] * bv;
+    }
+  }
+  for (int c = 0; c < NC; ++c) {
+    T* dst = last ? col[c] + i : tile + c * kSkinnyRowBlock + it;
+    for (int u = 0; u < MU; ++u) {
+      *reinterpret_cast<Vec*>(dst + u * VL) = acc[u + c * MU];
+    }
+  }
+}
+
+template <typename T>
+using SkinnyColsFn = void (*)(idx_t, const T*, const T*, idx_t, T*);
+template <typename T>
+using SkinnyRowsFn = void (*)(idx_t, const T*, idx_t, const T*, idx_t,
+                              T* const*, T*, idx_t, idx_t, bool, bool);
+
+/// skinny_rows<T, MU, NC> for NC = 1 .. kSkinnyAcc / MU, indexed by NC - 1.
+template <typename T, int MU, std::size_t... I>
+constexpr auto skinny_rows_table(std::index_sequence<I...>) {
+  return std::array<SkinnyRowsFn<T>, sizeof...(I)>{
+      &skinny_rows<T, MU, static_cast<int>(I) + 1>...};
+}
+template <typename T, int MU>
+constexpr auto kSkinnyRows =
+    skinny_rows_table<T, MU>(std::make_index_sequence<kSkinnyAcc / MU>{});
+
+/// A full column block (kSkinnyAcc / NV columns) and a single column of the
+/// column form, for passes of NV = 1 .. kSkinnyMaxNV vectors.
+template <typename T, std::size_t... I>
+constexpr auto skinny_cols_table(std::index_sequence<I...>) {
+  return std::array<std::pair<SkinnyColsFn<T>, SkinnyColsFn<T>>,
+                    sizeof...(I)>{std::pair<SkinnyColsFn<T>, SkinnyColsFn<T>>{
+      &skinny_cols<T, static_cast<int>(I) + 1,
+                   kSkinnyAcc / (static_cast<int>(I) + 1)>,
+      &skinny_cols<T, static_cast<int>(I) + 1, 1>}...};
+}
+template <typename T>
+constexpr auto kSkinnyCols =
+    skinny_cols_table<T>(std::make_index_sequence<kSkinnyMaxNV>{});
+
 template <typename T>
 void scale_matrix(MatrixRef<T> c, T beta) {
   if (beta == T{1}) return;
@@ -496,6 +646,127 @@ void gemm_strided_batch(Op op_b, idx_t batch, T alpha, const T* a, idx_t m,
   } else {
     gemm_driver(m * batch, n, k, alpha, pa, PackBRows<T>{b.data, b.ld}, cw,
                 false);
+  }
+  stats::add_flops(2.0 * static_cast<double>(m) * static_cast<double>(batch) *
+                   static_cast<double>(n) * static_cast<double>(k));
+}
+
+template <typename T>
+void gemm_skinny_batch(idx_t batch, const T* a, idx_t m, idx_t k,
+                       ConstMatrixRef<T> b,
+                       const std::vector<idx_t>& part_cols, T* c) {
+  constexpr int VL = Tile<T>::VL;
+  const idx_t n = b.cols;
+  RAHOOI_REQUIRE(b.rows == k, "gemm_skinny_batch: inner dimensions disagree");
+  RAHOOI_REQUIRE(n <= kSkinnyMaxCols && k <= kGemmDepthBlock,
+                 "gemm_skinny_batch: result too wide or product too deep");
+  RAHOOI_REQUIRE(batch >= 0 && m >= 0, "gemm_skinny_batch: negative extent");
+  idx_t covered = 0;
+  for (const idx_t len : part_cols) {
+    RAHOOI_REQUIRE(len >= 0, "gemm_skinny_batch: negative part");
+    covered += len;
+  }
+  RAHOOI_REQUIRE(covered == n,
+                 "gemm_skinny_batch: parts must cover the result columns");
+  if (batch == 0 || m == 0 || n == 0) return;
+  if (k == 0) {
+    std::fill(c, c + m * n * batch, T{0});
+    return;
+  }
+
+  // B^T, each row padded to np entries (whole vectors for the column form).
+  const idx_t nv = (n + VL - 1) / VL;
+  const int nvb = static_cast<int>(std::min<idx_t>(nv, kSkinnyMaxNV));
+  const idx_t passes = (nv + nvb - 1) / nvb;
+  const idx_t np = (m == 1) ? passes * nvb * VL : n;
+  T* bt = tls_scratch<T>().b.data();
+  for (idx_t l = 0; l < k; ++l) {
+    for (idx_t j = 0; j < n; ++j) bt[l * np + j] = b(l, j);
+    std::fill(bt + l * np + n, bt + (l + 1) * np, T{0});
+  }
+
+  if (m == 1) {
+    // Vectorized over the n results of each column of A; every column's
+    // results are then split into the parts.
+    const idx_t nj = kSkinnyAcc / nvb;
+    T* tile = tls_scratch<T>().a.data();
+    const auto [block, single] = kSkinnyCols<T>[nvb - 1];
+    for (idx_t j0 = 0; j0 < batch; j0 += nj) {
+      const idx_t jn = std::min(nj, batch - j0);
+      const T* aj = a + j0 * k;
+      for (idx_t p = 0; p < passes; ++p) {
+        const idx_t o = p * nvb * VL;
+        if (jn == nj) {
+          block(k, aj, bt + o, np, tile + o);
+        } else {
+          for (idx_t j = 0; j < jn; ++j) {
+            single(k, aj + j * k, bt + o, np, tile + j * np + o);
+          }
+        }
+      }
+      if (part_cols.size() == 1 && np == n) {
+        // Unpadded rows in the plain layout: the block is one run of C.
+        std::copy(tile, tile + jn * n, c + j0 * n);
+        continue;
+      }
+      for (idx_t j = 0; j < jn; ++j) {
+        idx_t off = 0;
+        for (const idx_t len : part_cols) {
+          std::copy(tile + j * np + off, tile + j * np + off + len,
+                    c + off * batch + (j0 + j) * len);
+          off += len;
+        }
+      }
+    }
+  } else {
+    // Vectorized over rows. The n columns go in near-equal chunks that fit
+    // the accumulator registers; each row block of A is read from memory
+    // once, one depth group of contiguous column runs at a time.
+    constexpr int MU = 2;
+    const idx_t chunks = (n + kSkinnyAcc / MU - 1) / (kSkinnyAcc / MU);
+    T* col[kSkinnyMaxCols];
+    T* tile = tls_scratch<T>().a.data();
+    const idx_t m_vec = m / VL * VL;
+    for (idx_t s = 0; s < batch; ++s) {
+      idx_t off = 0, cidx = 0;
+      for (const idx_t len : part_cols) {
+        T* part = c + off * m * batch + s * len * m;
+        for (idx_t j = 0; j < len; ++j) col[cidx++] = part + j * m;
+        off += len;
+      }
+      const T* as = a + s * m * k;
+      for (idx_t i0 = 0; i0 < m_vec; i0 += kSkinnyRowBlock) {
+        const idx_t i1 = std::min(i0 + kSkinnyRowBlock, m_vec);
+        for (idx_t g = 0; g < k; g += kSkinnyDepthGroup) {
+          const idx_t lg = std::min(kSkinnyDepthGroup, k - g);
+          const bool first = g == 0, last = g + lg == k;
+          const T* ag = as + g * m;
+          for (idx_t q = 0, c0 = 0; q < chunks; ++q) {
+            const idx_t nc = n / chunks + (q < n % chunks ? 1 : 0);
+            T* const* cc = col + c0;
+            T* tc = tile + c0 * kSkinnyRowBlock;
+            const T* bg = bt + g * np + c0;
+            idx_t i = i0;
+            for (; i + MU * VL <= i1; i += MU * VL) {
+              kSkinnyRows<T, MU>[nc - 1](lg, ag + i, m, bg, np, cc, tc, i,
+                                         i - i0, first, last);
+            }
+            for (; i < i1; i += VL) {
+              kSkinnyRows<T, 1>[nc - 1](lg, ag + i, m, bg, np, cc, tc, i,
+                                        i - i0, first, last);
+            }
+            c0 += nc;
+          }
+        }
+      }
+      for (idx_t i = m_vec; i < m; ++i) {
+        for (idx_t j = 0; j < n; ++j) {
+          T acc{};
+          for (idx_t l = 0; l < k; ++l) acc += as[i + l * m] * bt[l * np + j];
+          col[j][i] = acc;
+        }
+      }
+    }
   }
   stats::add_flops(2.0 * static_cast<double>(m) * static_cast<double>(batch) *
                    static_cast<double>(n) * static_cast<double>(k));
@@ -720,6 +991,9 @@ void syrk_ref(T alpha, ConstMatrixRef<T> a, T beta, MatrixRef<T> c) {
   template void gemm_strided_batch<T>(Op, idx_t, T, const T*, idx_t, idx_t,   \
                                       idx_t, ConstMatrixRef<T>, T, T*, idx_t, \
                                       idx_t);                                 \
+  template void gemm_skinny_batch<T>(idx_t, const T*, idx_t, idx_t,          \
+                                     ConstMatrixRef<T>,                      \
+                                     const std::vector<idx_t>&, T*);         \
   template void gemm_batch_tn<T>(idx_t, T, const T*, idx_t, idx_t, idx_t,     \
                                  const T*, idx_t, idx_t, T, MatrixRef<T>);    \
   template void syrk_batch_t<T>(idx_t, T, const T*, idx_t, idx_t, idx_t, T,   \

@@ -16,6 +16,8 @@
 // the instrumentation layer (common/stats.hpp), which is how the paper's
 // Table 1 is reproduced from measurement.
 
+#include <vector>
+
 #include "la/matrix.hpp"
 
 namespace rahooi::la {
@@ -51,6 +53,38 @@ template <typename T>
 void gemm_strided_batch(Op op_b, idx_t batch, T alpha, const T* a, idx_t m,
                         idx_t k, idx_t a_stride, ConstMatrixRef<T> b, T beta,
                         T* c, idx_t n, idx_t c_stride);
+
+/// Depth of one cache block of the packed kernels (the KC of their loop
+/// nest). A product no deeper than this sums each entry in a single pass.
+inline constexpr idx_t kGemmDepthBlock = 256;
+
+/// Widest result gemm_skinny_batch takes.
+inline constexpr idx_t kSkinnyMaxCols = 32;
+
+/// Unpacked strided-batch product for truncating TTMs with a skinny result:
+///
+///   C_s = A_s * B   for s in [0, batch)
+///
+/// with A_s the column-major (m x k) block at a + s * m * k and B (k x n).
+/// The n columns of C are split into consecutive parts of lengths
+/// `part_cols` (summing to n; a single part is the plain layout): part q,
+/// holding columns [off_q, off_q + len_q), is stored contiguously at
+/// c + off_q * m * batch as `batch` column-major (m x len_q) blocks. That is
+/// the layout a reduce-scatter over the parts consumes.
+///
+/// A is streamed in place, never packed, and B lives in L1 transposed. C is
+/// only stored to, so it needs no initialization. With m == 1 (a mode-0
+/// unfolding) the kernel vectorizes over the n columns, otherwise over the
+/// m rows, which pays off from m >= 64 on.
+///
+/// Requires n <= kSkinnyMaxCols and k <= kGemmDepthBlock. Each entry then
+/// sums over l in increasing order with the packed micro-kernel's
+/// operations, so the result is bitwise equal to gemm_strided_batch with
+/// op_b = none (and, for m == 1, to gemm(transpose, none, B, A_(0))).
+template <typename T>
+void gemm_skinny_batch(idx_t batch, const T* a, idx_t m, idx_t k,
+                       ConstMatrixRef<T> b,
+                       const std::vector<idx_t>& part_cols, T* c);
 
 /// Batched transposed product:
 ///

@@ -8,7 +8,9 @@
 // tiny per-slab GEMM/SYRK calls of the naive formulation become a single
 // packed kernel invocation and slab transposes are fused into operand
 // packing (mode_gram and contract_all_but_one never materialize a
-// transposed scratch matrix).
+// transposed scratch matrix). Truncating TTMs with a skinny result (r <= 32,
+// contraction <= 256, mode 0 or slabs of at least 64 rows) instead stream X
+// in place through la::gemm_skinny_batch, with bitwise the same results.
 
 #include "la/blas.hpp"
 #include "tensor/tensor.hpp"
@@ -31,6 +33,17 @@ extern bool g_force_ttm_slab_fallback;
 template <typename T>
 Tensor<T> ttm(const Tensor<T>& x, int mode, la::ConstMatrixRef<T> u,
               la::Op op = la::Op::transpose);
+
+/// Truncating Y = X x_mode U^T written straight into `out`, with the result
+/// extent r split into consecutive parts of lengths `part_rows` (summing to
+/// r). Part q, holding mode indices [off_q, off_q + len_q), is stored
+/// contiguously at out + off_q * left_size(mode) * right_size(mode), laid
+/// out as a tensor whose mode extent is len_q: the layout a reduce-scatter
+/// over the parts consumes. A single part is ttm's own layout. `out` needs
+/// no initialization, and the values are bitwise those of ttm.
+template <typename T>
+void ttm_parts(const Tensor<T>& x, int mode, la::ConstMatrixRef<T> u,
+               const std::vector<idx_t>& part_rows, T* out);
 
 /// Multi-TTM: applies op(U_j) in every mode j in `modes`, in the given
 /// order. `factors[j]` must have valid shape for each j in `modes`.

@@ -6,6 +6,7 @@
 
 #include "comm/runtime.hpp"
 #include "core/sthosvd.hpp"
+#include "data/science.hpp"
 #include "la/qr.hpp"
 #include "tensor/ttm.hpp"
 #include "test_util.hpp"
@@ -322,6 +323,42 @@ TEST(RankAdaptive, RejectsBadOptions) {
     opt.growth_factor = 1.0;
     EXPECT_THROW(rank_adaptive_hooi(xd, {2, 2}, opt), precondition_error);
   });
+}
+
+TEST(RankAdaptive, SolveReturnsPackBufferGaugeToPreSolveValue) {
+  // dist_ttm's send buffers are per-call scratch: a P=4 RA-HOSI-DT solve
+  // with reduce-scatters in two modes must hand every byte back. The packed
+  // kernels' fixed per-thread panels are allocated by a warm-up product
+  // first; they live with the thread by design and are not solve workspace.
+  constexpr int p = 4;
+  std::vector<metrics::Registry> regs;
+  comm::RunOptions opts;
+  opts.rank_metrics = &regs;
+  std::vector<double> before(p), after(p), solve_peak(p);
+  comm::Runtime::run(
+      p,
+      [&](comm::Comm& world) {
+        dist::ProcessorGrid grid(world, {2, 2, 1, 1});
+        auto x = data::hcci_like<double>(grid, 40, 40, 8, 40);
+        const auto a = random_matrix<double>(8, 8, 71);
+        (void)la::matmul(la::Op::none, la::Op::none, a.cref(), a.cref());
+        const metrics::Gauge& pack =
+            metrics::registry()->gauge(metrics::MemScope::pack_buffer);
+        const double peak_before = pack.peak;
+        before[world.rank()] = pack.live;
+        RankAdaptiveOptions o;
+        o.tolerance = 0.01;
+        o.growth_factor = 1.5;
+        o.max_iters = 3;
+        (void)rank_adaptive_hooi(x, {12, 12, 6, 12}, o);
+        after[world.rank()] = pack.live;
+        solve_peak[world.rank()] = pack.peak - peak_before;
+      },
+      nullptr, nullptr, opts);
+  for (int r = 0; r < p; ++r) {
+    EXPECT_EQ(after[r], before[r]) << "rank " << r;
+    EXPECT_GT(solve_peak[r], 0.0) << "rank " << r << " charged no scratch";
+  }
 }
 
 }  // namespace
